@@ -10,7 +10,7 @@ invariants still reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -356,11 +356,19 @@ def _phi_elliptic_6(n: int = 6) -> Form:
     return Form(n, 3, {idx: Fraction(c) for idx, c in terms.items()})
 
 
-@lru_cache(maxsize=None)
-def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
-    """Built-in canonical forms for (n, k); empty when nothing is covered."""
+def _check_coverage(n: int, k: int) -> None:
     if n < 1 or n > MAX_DIMENSION or k < 0 or k > n:
         raise FormError(f"catalog needs 1 <= n <= {MAX_DIMENSION} and 0 <= k <= n")
+
+
+@lru_cache(maxsize=None)
+def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
+    """Built-in canonical forms for (n, k).
+
+    Raises FormError outside 1 <= n <= MAX_DIMENSION, 0 <= k <= n; inside that
+    range the result is empty where the catalog has nothing for (n, k).
+    """
+    _check_coverage(n, k)
     if k == 0:
         return ()
     entries: list[CatalogEntry] = []
@@ -552,7 +560,12 @@ def _inflate(rep: Form, n: int) -> Form:
 
 
 def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
-    """Dispatch to the strongest complete invariant available for (n, k)."""
+    """Dispatch to the strongest complete invariant available for (n, k).
+
+    Off the complete 2-form and (n-2)-form paths, a nonzero form needs the
+    catalog, so n > MAX_DIMENSION raises FormError before any invariant is
+    computed.
+    """
     n, k = phi.n, phi.k
     if k == 0:
         c = phi.coeff(())
@@ -589,92 +602,10 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
             open=comb(n, k) == 0,
             notes=("the zero form is a fixed point",),
         )
+    _check_coverage(n, k)
     r = rank(phi)
     fp = fingerprint(phi)
-    is_open = n * n - fp.stab_dim == comb(n, k)
-    matches = match_catalog(fp, n, k)
-    if len(matches) == 1:
-        entry = matches[0]
-        return OrbitReport(
-            kind="exact",
-            orbit_id=f"catalog:{entry.name}",
-            candidates=(),
-            n=n,
-            k=k,
-            rank=r,
-            fingerprint=fp,
-            length_sign=None,
-            canonical=entry.representative,
-            components=1 if r < n else entry.components,
-            open=is_open,
-            notes=(entry.stabilizer_note, f"matched catalog entry [{entry.provenance}]"),
-        )
-    if matches:
-        comps = {e.components for e in matches}
-        shared = comps.pop() if len(comps) == 1 else None
-        return OrbitReport(
-            kind="candidates",
-            orbit_id=None,
-            candidates=tuple(e.name for e in matches),
-            n=n,
-            k=k,
-            rank=r,
-            fingerprint=fp,
-            length_sign=None,
-            canonical=None,
-            components=1 if r < n else shared,
-            open=is_open,
-            notes=("fingerprint matches several catalog entries",),
-        )
-    if r < n:
-        red = reduce_form(phi)
-        sub = classify(red.reduced, VolumeForm(r))
-        note = f"classified through the rank-{r} reduction"
-        if sub.kind == "exact":
-            return OrbitReport(
-                kind="exact",
-                orbit_id=f"rank{r}:{sub.orbit_id}",
-                candidates=(),
-                n=n,
-                k=k,
-                rank=r,
-                fingerprint=fp,
-                length_sign=sub.length_sign,
-                canonical=_inflate(sub.canonical, n) if sub.canonical is not None else None,
-                components=1,
-                open=is_open,
-                notes=(note,) + sub.notes,
-            )
-        if sub.kind == "candidates":
-            return OrbitReport(
-                kind="candidates",
-                orbit_id=None,
-                candidates=tuple(f"rank{r}:{name}" for name in sub.candidates),
-                n=n,
-                k=k,
-                rank=r,
-                fingerprint=fp,
-                length_sign=sub.length_sign,
-                canonical=None,
-                components=1,
-                open=is_open,
-                notes=(note,) + sub.notes,
-            )
-        return OrbitReport(
-            kind="unknown",
-            orbit_id=None,
-            candidates=(),
-            n=n,
-            k=k,
-            rank=r,
-            fingerprint=fp,
-            length_sign=None,
-            canonical=None,
-            components=1,
-            open=is_open,
-            notes=(note, "no catalog match for the reduced form"),
-        )
-    return OrbitReport(
+    base = OrbitReport(
         kind="unknown",
         orbit_id=None,
         candidates=(),
@@ -685,8 +616,48 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         length_sign=None,
         canonical=None,
         components=None,
-        open=is_open,
-        notes=("no catalog match at full rank; invariants reported as computed",),
+        open=n * n - fp.stab_dim == comb(n, k),
+        notes=(),
+    )
+    matches = match_catalog(fp, n, k)
+    if len(matches) == 1:
+        entry = matches[0]
+        return replace(
+            base,
+            kind="exact",
+            orbit_id=f"catalog:{entry.name}",
+            canonical=entry.representative,
+            components=1 if r < n else entry.components,
+            notes=(entry.stabilizer_note, f"matched catalog entry [{entry.provenance}]"),
+        )
+    if matches:
+        comps = {e.components for e in matches}
+        shared = comps.pop() if len(comps) == 1 else None
+        return replace(
+            base,
+            kind="candidates",
+            candidates=tuple(e.name for e in matches),
+            components=1 if r < n else shared,
+            notes=("fingerprint matches several catalog entries",),
+        )
+    if r == n:
+        return replace(
+            base, notes=("no catalog match at full rank; invariants reported as computed",)
+        )
+    sub = classify(reduce_form(phi).reduced, VolumeForm(r))
+    note = f"classified through the rank-{r} reduction"
+    if sub.kind == "unknown":
+        return replace(base, components=1, notes=(note, "no catalog match for the reduced form"))
+    # An exact sub-verdict has no candidates, a candidates one no id or canonical form.
+    return replace(
+        base,
+        kind=sub.kind,
+        orbit_id=f"rank{r}:{sub.orbit_id}" if sub.orbit_id is not None else None,
+        candidates=tuple(f"rank{r}:{name}" for name in sub.candidates),
+        length_sign=sub.length_sign,
+        canonical=_inflate(sub.canonical, n) if sub.canonical is not None else None,
+        components=1,
+        notes=(note,) + sub.notes,
     )
 
 

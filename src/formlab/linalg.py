@@ -1,15 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Integer matrices go through fraction-free (Bareiss) elimination so intermediate
-entries stay integral and growth stays polynomial; rational input is scaled
-row-by-row to integers first, which changes neither rank nor nullspace.
+Rank, nullspace, determinant and inverse share one fraction-free (Bareiss)
+forward pass, row_echelon_int, and one integer back-substitution whose
+divisions are exact by Cramer's rule, so intermediate entries stay integral
+and growth stays polynomial.  Rational input is scaled row by row to integers
+first, which changes neither rank nor nullspace and scales the determinant by
+a known factor.  inertia_fraction and skew_pairs are not solves: they apply
+each operation to rows and columns alike (congruence), which a one-sided row
+reduction cannot reproduce, so they keep their own elimination over Fraction.
 Nothing in this module ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -58,15 +63,21 @@ def to_int_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     return out
 
 
-def row_echelon_int(mat: list[list[int]], ncols: int) -> list[tuple[int, int]]:
-    """Bareiss elimination, in place.  Returns the (row, col) pivot positions.
+def row_echelon_int(
+    mat: list[list[int]], ncols: int
+) -> tuple[list[tuple[int, int]], int]:
+    """Bareiss elimination, in place.  Returns the (row, col) pivot positions
+    and the sign of the row swaps.
 
     The two-term update (p*a - f*b) // prev divides exactly because every
-    intermediate entry is a minor of the original integer matrix.
+    intermediate entry is a minor of the original integer matrix; the pivot
+    of the t-th pivot row is the leading t x t minor of the row-swapped
+    matrix on the first t pivot columns.
     """
     nrows = len(mat)
     prev = 1
     pr = 0
+    sign = 1
     pivots: list[tuple[int, int]] = []
     for pc in range(ncols):
         sel = -1
@@ -78,6 +89,7 @@ def row_echelon_int(mat: list[list[int]], ncols: int) -> list[tuple[int, int]]:
             continue
         if sel != pr:
             mat[pr], mat[sel] = mat[sel], mat[pr]
+            sign = -sign
         piv_row = mat[pr]
         p = piv_row[pc]
         for r in range(pr + 1, nrows):
@@ -95,25 +107,44 @@ def row_echelon_int(mat: list[list[int]], ncols: int) -> list[tuple[int, int]]:
         pr += 1
         if pr == nrows:
             break
-    return pivots
+    return pivots, sign
+
+
+def _back_substitute(
+    mat: list[list[int]], pivots: list[tuple[int, int]], free: int
+) -> list[int]:
+    """Integer nullspace vector of an echelon matrix from row_echelon_int.
+
+    Coordinate `free` is set to the Bareiss pivot d of the last pivot column
+    left of it (1 if none), the other free coordinates to 0.  Only the pivot
+    rows with pivot columns left of `free` constrain that vector, and d is the
+    determinant of their pivot block, so by Cramer's rule every coordinate is
+    an integer and each division below is exact.  Returns coordinates
+    0..free; the ones after `free` are 0.
+    """
+    used = [p for p in pivots if p[1] < free]
+    x = [0] * (free + 1)
+    x[free] = mat[used[-1][0]][used[-1][1]] if used else 1
+    for pr, pc in reversed(used):
+        row = mat[pr]
+        s = 0
+        for j in range(pc + 1, free + 1):
+            rj = row[j]
+            if rj and x[j]:
+                s += rj * x[j]
+        x[pc] = -s // row[pc]
+    return x
 
 
 def rank_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
-    if not rows:
-        return 0
-    return len(row_echelon_int(to_int_rows(rows), ncols))
+    pivots, _ = row_echelon_int(to_int_rows(rows), ncols)
+    return len(pivots)
 
 
-def primitive_vector(vec: Sequence[Fraction]) -> list[int]:
+def primitive_vector(vec: Sequence[Scalar]) -> list[int]:
     """Clear denominators and divide by the content; leading nonzero made positive."""
-    l = 1
-    for x in vec:
-        d = as_fraction(x).denominator
-        l = l * d // gcd(l, d)
-    ints = [int(x * l) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    (ints,) = to_int_rows([vec])
+    g = gcd(*ints)
     if g == 0:
         return ints
     lead = next(v for v in ints if v)
@@ -132,87 +163,49 @@ def nullspace_rows(
     can be read off at the free columns.
     """
     mat = to_int_rows(rows)
-    pivots = row_echelon_int(mat, ncols)
+    pivots, _ = row_echelon_int(mat, ncols)
     pivot_cols = {pc for _, pc in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]
     basis: list[list[int]] = []
     for f in free:
-        x: list[Fraction | int] = [0] * ncols
-        x[f] = Fraction(1)
-        for pr, pc in reversed(pivots):
-            row = mat[pr]
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                rj = row[j]
-                if rj and x[j]:
-                    s += rj * x[j]
-            x[pc] = -s / row[pc]
-        basis.append(primitive_vector([as_fraction(v) for v in x]))
+        x = _back_substitute(mat, pivots, f)
+        basis.append(primitive_vector(x + [0] * (ncols - f - 1)))
     return basis, free
 
 
 def det_fraction(entries: Sequence[Sequence[Scalar]]) -> Fraction:
+    """Determinant: the last Bareiss pivot over the row scalings of to_int_rows."""
     n = len(entries)
-    if n == 0:
-        return Fraction(1)
-    a = [[as_fraction(x) for x in row] for row in entries]
-    det = Fraction(1)
-    for c in range(n):
-        sel = -1
-        for r in range(c, n):
-            if a[r][c]:
-                sel = r
-                break
-        if sel < 0:
-            return Fraction(0)
-        if sel != c:
-            a[c], a[sel] = a[sel], a[c]
-            det = -det
-        p = a[c][c]
-        det *= p
-        for r in range(c + 1, n):
-            f = a[r][c] / p
-            if f:
-                row = a[r]
-                prow = a[c]
-                for j in range(c + 1, n):
-                    row[j] -= f * prow[j]
-    return det
+    mat = to_int_rows(entries)
+    pivots, sign = row_echelon_int(mat, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    last = mat[n - 1][n - 1] if n else 1
+    return Fraction(sign * last, prod(map(_row_lcm, entries)))
 
 
 def inverse_fraction(
     entries: Sequence[Sequence[Scalar]],
 ) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse; raises ZeroDivisionError on singular input."""
+    """Inverse from one Bareiss pass on [A | -I]; ZeroDivisionError if singular.
+
+    Column j of the inverse is the nullspace vector with free coordinate n+j,
+    divided by that coordinate.  A is singular exactly when a pivot falls in
+    the -I block.
+    """
     n = len(entries)
-    a = [[as_fraction(x) for x in row] for row in entries]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        sel = -1
-        for r in range(c, n):
-            if a[r][c]:
-                sel = r
-                break
-        if sel < 0:
-            raise ZeroDivisionError("singular matrix")
-        if sel != c:
-            a[c], a[sel] = a[sel], a[c]
-            inv[c], inv[sel] = inv[sel], inv[c]
-        p = a[c][c]
-        if p != 1:
-            a[c] = [x / p for x in a[c]]
-            inv[c] = [x / p for x in inv[c]]
-        for r in range(n):
-            if r == c:
-                continue
-            f = a[r][c]
-            if f:
-                arow, irow = a[r], inv[r]
-                acr, icr = a[c], inv[c]
-                for j in range(n):
-                    arow[j] -= f * acr[j]
-                    irow[j] -= f * icr[j]
-    return inv
+    mat = to_int_rows(
+        [[*row, *(-int(i == j) for j in range(n))] for i, row in enumerate(entries)]
+    )
+    pivots, _ = row_echelon_int(mat, 2 * n)
+    if pivots and pivots[-1][1] >= n:
+        raise ZeroDivisionError("singular matrix")
+    cols = []
+    for j in range(n):
+        x = _back_substitute(mat, pivots, n + j)
+        d = x[n + j]
+        cols.append([Fraction(v, d) for v in x[:n]])
+    return [list(row) for row in zip(*cols)]
 
 
 def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:

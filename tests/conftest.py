@@ -11,6 +11,7 @@ from itertools import permutations
 import pytest
 
 from formlab import Form, Polyvector
+from formlab.linalg import primitive_vector
 
 
 def perm_sign(perm) -> int:
@@ -36,10 +37,11 @@ def det_oracle(mat) -> Fraction:
     return total
 
 
-def rref_rank(rows, ncols) -> int:
-    """Rank by textbook Gauss-Jordan over Fraction."""
+def rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fraction: (reduced rows, pivot columns)."""
     mat = [[Fraction(x) for x in row] for row in rows]
     r = 0
+    pivot_cols = []
     for col in range(ncols):
         piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
@@ -51,10 +53,35 @@ def rref_rank(rows, ncols) -> int:
             if i != r and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivot_cols.append(col)
         r += 1
         if r == len(mat):
             break
-    return r
+    return mat, pivot_cols
+
+
+def rref_rank(rows, ncols) -> int:
+    """Rank by textbook Gauss-Jordan over Fraction."""
+    return len(rref(rows, ncols)[1])
+
+
+def nullspace_oracle(rows, ncols):
+    """(basis, free columns) read off the reduced row echelon form.
+
+    The vector for free column f has a 1 at f, 0 at the other free columns and
+    minus the reduced entries of column f at the pivot columns; it is then
+    scaled to a primitive integer vector.
+    """
+    mat, pivot_cols = rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for f in free:
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, pc in enumerate(pivot_cols):
+            x[pc] = -mat[r][f]
+        basis.append(primitive_vector(x))
+    return basis, free
 
 
 def evaluate_form(phi: Form, vectors) -> Fraction:

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,17 @@ def test_classify_unknown_paths():
     assert rep8.kind == "unknown"
     assert rep8.rank == 7
     assert rep8.components == 1
+
+
+def test_classify_rejects_uncovered_dimension_before_invariants(monkeypatch):
+    def no_stabilizer(phi):
+        raise AssertionError("stabilizer computed for a form outside the catalog's range")
+
+    # the package's `classify` attribute is the function, not the module
+    module = importlib.import_module("formlab.classify")
+    monkeypatch.setattr(module, "stabilizer_algebra", no_stabilizer)
+    with pytest.raises(FormError):
+        classify(e(MAX_DIMENSION + 1, 1, 2, 3))
 
 
 def test_classify_reduction_recursion_inflates_canonical():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlab import (
@@ -49,6 +49,14 @@ def vectors(n):
 
 def invertible_maps(n):
     return st.lists(vectors(n), min_size=n, max_size=n).map(LinMap).filter(lambda g: g.det != 0)
+
+
+def orientation_preserving_maps(n):
+    # Negating a row flips the sign of det, so no draw is rejected; rejecting
+    # three draws in four trips hypothesis' filter_too_much health check.
+    return invertible_maps(n).map(
+        lambda g: g if g.det > 0 else LinMap([[-x for x in g.entries[0]], *g.entries[1:]])
+    )
 
 
 # ---------------------------------------------------------------- index logic
@@ -312,9 +320,9 @@ def test_act_vectors_is_direct_image(g, xi, v):
 
 
 @settings(max_examples=25, deadline=None)
-@given(g=invertible_maps(3), h=invertible_maps(3), phi=forms(3, 2))
+@given(g=orientation_preserving_maps(3), h=orientation_preserving_maps(3), phi=forms(3, 2))
 def test_twisted_act_composes(g, h, phi):
-    assume(g.det > 0 and h.det > 0)
+    assert g.det > 0 and h.det > 0
     for lam in (-1, 1, 2):
         assert twisted_act(g @ h, lam, phi) == twisted_act(g, lam, twisted_act(h, lam, phi))
 

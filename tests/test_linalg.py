@@ -17,16 +17,30 @@ from formlab.linalg import (
     to_int_rows,
 )
 
-from conftest import det_oracle, perm_sign, random_int_matrix, rref_rank
+from conftest import (
+    det_oracle,
+    nullspace_oracle,
+    perm_sign,
+    random_int_matrix,
+    rref_rank,
+)
 
 small_int = st.integers(min_value=-9, max_value=9)
+# ints mixed with proper fractions, so row scaling in to_int_rows is exercised
+scalar = st.one_of(small_int, st.builds(Fraction, small_int, st.integers(2, 6)))
 
 
-def matrix_strategy(max_rows=5, max_cols=5):
+def matrix_strategy(max_rows=5, max_cols=5, entries=small_int):
     return st.integers(1, max_cols).flatmap(
         lambda c: st.lists(
-            st.lists(small_int, min_size=c, max_size=c), min_size=1, max_size=max_rows
+            st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=max_rows
         )
+    )
+
+
+def square_strategy(max_n=4):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n)
     )
 
 
@@ -87,7 +101,14 @@ def test_nullspace_free_coordinate_structure():
                 assert vec[f] == 0
 
 
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)))
+@given(matrix_strategy(max_rows=6, max_cols=7, entries=scalar))
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_rref_oracle(rows):
+    ncols = len(rows[0])
+    assert nullspace_rows(rows, ncols) == nullspace_oracle(rows, ncols)
+
+
+@given(square_strategy())
 @settings(max_examples=100, deadline=None)
 def test_det_matches_permutation_expansion(mat):
     assert det_fraction(mat) == det_oracle(mat)
@@ -113,6 +134,28 @@ def test_inverse_round_trip(rng):
             for j in range(n):
                 s = sum(Fraction(mat[i][t]) * inv[t][j] for t in range(n))
                 assert s == (1 if i == j else 0)
+
+
+@given(square_strategy(max_n=5))
+@settings(max_examples=100, deadline=None)
+def test_inverse_round_trip_rational(mat):
+    n = len(mat)
+    if det_oracle(mat) == 0:
+        with pytest.raises(ZeroDivisionError):
+            inverse_fraction(mat)
+        return
+    inv = inverse_fraction(mat)
+    for i in range(n):
+        for j in range(n):
+            assert sum(mat[i][t] * inv[t][j] for t in range(n)) == int(i == j)
+            assert sum(inv[i][t] * mat[t][j] for t in range(n)) == int(i == j)
+
+
+def test_inverse_edge_cases():
+    assert inverse_fraction([]) == []
+    assert inverse_fraction([[Fraction(3, 4)]]) == [[Fraction(4, 3)]]
+    with pytest.raises(ZeroDivisionError):
+        inverse_fraction([[0]])
 
 
 def test_inertia_known_diagonals():
