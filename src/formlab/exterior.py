@@ -20,8 +20,8 @@ All arithmetic is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -553,28 +553,29 @@ def multi_interior(X: Polyvector, phi: Form) -> Form:
     return Form(phi.n, phi.k - X.k, out)
 
 
-def _minor(entries, rows: MultiIndex, cols: MultiIndex) -> Fraction:
-    sub = [[entries[i - 1][j - 1] for j in cols] for i in rows]
-    return det_fraction(sub)
+def _substitute(terms, rows, n: int) -> dict[MultiIndex, Fraction]:
+    """Replace every e^i by sum_j rows[i-1][j-1] e^j in a sparse alternating tensor.
 
-
-def _transform(terms, entries, n: int, k: int, source_rows: bool) -> dict[MultiIndex, Fraction]:
-    """Push coefficients through k x k minors of a matrix.
-
-    source_rows selects whether the source multi-index picks rows (covariant
-    pullback) or columns (contravariant direct image).
+    Old index i is renamed to n + i, which sorts after every new index, and
+    these are substituted largest first, so the one replaced is always the
+    last slot: inserting j at position p of the other m slots gives the sign
+    (-1)^(m - p), and a j already present gives zero.
     """
-    out: dict[MultiIndex, Fraction] = {}
-    if k == 0:
-        for idx, c in terms.items():
-            out[idx] = out.get(idx, Fraction(0)) + c
-        return {i: c for i, c in out.items() if c}
-    targets = list(combinations(range(1, n + 1), k))
-    for src, c in terms.items():
-        for tgt in targets:
-            d = _minor(entries, src, tgt) if source_rows else _minor(entries, tgt, src)
-            if d:
-                acc = out.get(tgt, 0) + c * d
+    out = {tuple(n + i for i in idx): c for idx, c in terms.items()}
+    for i in range(n, 0, -1):
+        fresh = n + i
+        hits = [idx for idx in out if idx and idx[-1] == fresh]
+        row = [(j, x) for j, x in enumerate(rows[i - 1], 1) if x]
+        for idx in hits:
+            c = out.pop(idx)
+            rest = idx[:-1]
+            m = len(rest)
+            for j, x in row:
+                p = bisect_left(rest, j)
+                if p < m and rest[p] == j:
+                    continue
+                tgt = rest[:p] + (j,) + rest[p:]
+                acc = out.get(tgt, 0) + (-c * x if (m - p) % 2 else c * x)
                 if acc:
                     out[tgt] = acc
                 else:
@@ -590,8 +591,7 @@ def act(g: LinMap, phi: Form) -> Form:
         raise DimensionMismatch(f"dimension {g.n} != {phi.n}")
     if not g.det:
         raise SingularMatrix("group element must be invertible")
-    h = inverse_fraction(g.entries)
-    return Form(phi.n, phi.k, _transform(phi.terms, h, phi.n, phi.k, source_rows=True))
+    return Form(phi.n, phi.k, _substitute(phi.terms, inverse_fraction(g.entries), phi.n))
 
 
 def pullback(m: LinMap, phi: Form) -> Form:
@@ -600,7 +600,7 @@ def pullback(m: LinMap, phi: Form) -> Form:
         raise TypeError("pullback needs a Form")
     if m.n != phi.n:
         raise DimensionMismatch(f"dimension {m.n} != {phi.n}")
-    return Form(phi.n, phi.k, _transform(phi.terms, m.entries, phi.n, phi.k, source_rows=True))
+    return Form(phi.n, phi.k, _substitute(phi.terms, m.entries, phi.n))
 
 
 def act_vectors(g: LinMap, x: Polyvector) -> Polyvector:
@@ -611,7 +611,7 @@ def act_vectors(g: LinMap, x: Polyvector) -> Polyvector:
         raise DimensionMismatch(f"dimension {g.n} != {x.n}")
     if not g.det:
         raise SingularMatrix("group element must be invertible")
-    return Polyvector(x.n, x.k, _transform(x.terms, g.entries, x.n, x.k, source_rows=False))
+    return Polyvector(x.n, x.k, _substitute(x.terms, list(zip(*g.entries)), x.n))
 
 
 def twisted_act(g: LinMap, lam: int, phi: Form) -> Form:
@@ -658,7 +658,7 @@ def musical(mu: InnerProduct, x: Polyvector) -> Form:
         raise DimensionMismatch(f"dimension {x.n} != {mu.n}")
     if mu.is_identity:
         return Form(x.n, x.k, dict(x.terms))
-    return Form(x.n, x.k, _transform(x.terms, mu.matrix, x.n, x.k, source_rows=False))
+    return Form(x.n, x.k, _substitute(x.terms, mu.matrix, x.n))
 
 
 def musical_inv(mu: InnerProduct, phi: Form) -> Polyvector:
@@ -667,5 +667,4 @@ def musical_inv(mu: InnerProduct, phi: Form) -> Polyvector:
         raise DimensionMismatch(f"dimension {phi.n} != {mu.n}")
     if mu.is_identity:
         return Polyvector(phi.n, phi.k, dict(phi.terms))
-    inv = inverse_fraction(mu.matrix)
-    return Polyvector(phi.n, phi.k, _transform(phi.terms, inv, phi.n, phi.k, source_rows=False))
+    return Polyvector(phi.n, phi.k, _substitute(phi.terms, inverse_fraction(mu.matrix), phi.n))

@@ -19,6 +19,7 @@ from .exterior import (
     MultiIndex,
     Polyvector,
     VolumeForm,
+    act,
     normalize_index,
     poincare_inv,
     pullback,
@@ -130,7 +131,7 @@ class Reduction:
 
     def reconstruct(self) -> Form:
         inflated = Form(self.original_n, self.reduced.k, dict(self.reduced.terms))
-        return pullback(self.frame.inverse(), inflated)
+        return act(self.frame, inflated)
 
 
 def reduce_form(phi: Form) -> Reduction:

@@ -84,7 +84,29 @@ def nullspace_oracle(rows, ncols):
     return basis, free
 
 
-def evaluate_form(phi: Form, vectors) -> Fraction:
+def det_gauss(mat) -> Fraction:
+    """Determinant by plain Gaussian elimination over Fraction.
+
+    For minors too large for the permutation expansion (6 x 6 and up).
+    """
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, len(a)):
+            f = a[i][col] / a[col][col]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def evaluate_form(phi: Form, vectors, det=det_oracle) -> Fraction:
     """phi(v_1, ..., v_k) as a sum of coefficient times minor determinants.
 
     vectors are coordinate lists; entry (s, t) of the minor for index I is
@@ -94,7 +116,7 @@ def evaluate_form(phi: Form, vectors) -> Fraction:
     total = Fraction(0)
     for idx, c in phi.terms.items():
         minor = [[Fraction(v[i - 1]) for v in vectors] for i in idx]
-        total += c * det_oracle(minor)
+        total += c * det(minor)
     return total
 
 

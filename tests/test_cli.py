@@ -1,10 +1,14 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from formlab import Form, LinMap, Polyvector, act
 from formlab.cli import main
+from formlab.docio import element_to_document
+
+from conftest import det_gauss, evaluate_form
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
@@ -192,6 +196,33 @@ def test_act_matches_library(tmp_path, capsys):
         for t in data["result"]["terms"]
     }
     assert got == dict(want.terms)
+
+
+def test_act_at_dimension_cap(tmp_path, capsys):
+    # a dense 6-form on R^12, the largest middle degree the CLI admits, moved
+    # by an integer unimodular g = lower @ upper (unitriangular factors)
+    n, k = 12, 6
+    phi = Form(n, k, {idx: 1 + sum(idx) % 5 for idx in combinations(range(1, n + 1), k)})
+    lower = [[(i - j) % 3 - 1 if i > j else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[(i + j) % 3 - 1 if i < j else int(i == j) for j in range(n)] for i in range(n)]
+    g = LinMap(lower) @ LinMap(upper)
+    path = write_doc(tmp_path, element_to_document(phi))
+    mat = write_doc(tmp_path, {"matrix": [[int(x) for x in row] for row in g.entries]}, "g.json")
+    code, out, _ = run(capsys, ["act", path, "--matrix", mat, "--format", "structured"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["determinant"] == "1"
+    moved = Form(n, k, {
+        tuple(t["idx"]): Fraction(t["num"], t.get("den", 1))
+        for t in data["result"]["terms"]
+    })
+    # act(g, phi)(g v_1, ..., g v_k) == phi(v_1, ..., v_k) on one fixed tuple,
+    # through Gaussian-elimination minors rather than the substitution kernel;
+    # test_pullback_evaluation_semantics covers the kernel in every degree
+    vs = [[((i + 1) ** (t + 1) + t) % 7 - 3 for i in range(n)] for t in range(k)]
+    gvs = [[sum(x * y for x, y in zip(row, v)) for row in g.entries] for v in vs]
+    want = evaluate_form(phi, vs, det=det_gauss)
+    assert want and evaluate_form(moved, gvs, det=det_gauss) == want
 
 
 def test_sample_reference_histogram(capsys):

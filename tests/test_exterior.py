@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -249,16 +250,22 @@ def test_wedge_associative(a, b, c):
     assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
 
-@settings(max_examples=30, deadline=None)
-@given(phi=forms(4, 2), vs=st.lists(vectors(4), min_size=2, max_size=2))
-def test_pullback_evaluation_semantics(phi, vs):
-    # (m^* phi)(v, w) == phi(m v, m w), for any m, singular or not
-    m = LinMap([[1, 2, 0, -1], [0, 1, 1, 1], [3, 0, 0, 2], [1, 1, 1, 1]])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pullback_evaluation_semantics(data):
+    # (m^* phi)(v_1, ..., v_k) == phi(m v_1, ..., m v_k), for any rational m,
+    # singular or not, in every degree 0..n
+    n = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, n))
+    idxs = list(combinations(range(1, n + 1), k))
+    terms = data.draw(st.dictionaries(st.sampled_from(idxs), coeffs, max_size=4))
+    phi = Form(n, k, terms)
+    entry = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=3))
+    row = st.lists(entry, min_size=n, max_size=n)
+    m = LinMap(data.draw(st.lists(row, min_size=n, max_size=n)))
+    vs = data.draw(st.lists(vectors(n), min_size=k, max_size=k))
     back = pullback(m, phi)
-    mid = [
-        [sum(Fraction(m.entries[i][j]) * v[j] for j in range(4)) for i in range(4)]
-        for v in vs
-    ]
+    mid = [[sum(m.entries[i][j] * v[j] for j in range(n)) for i in range(n)] for v in vs]
     assert evaluate_form(back, vs) == evaluate_form(phi, mid)
 
 
@@ -316,6 +323,9 @@ def test_act_vectors_is_direct_image(g, xi, v):
     vv = Polyvector.from_coords(v)
     w = Polyvector.from_coords([1, -2, 1])
     assert act_vectors(g, wedge(vv, w)) == wedge(g.apply(vv), g.apply(w))
+    u = Polyvector.from_coords([0, 1, 3])
+    top = wedge(wedge(vv, w), u)
+    assert act_vectors(g, top) == wedge(wedge(g.apply(vv), g.apply(w)), g.apply(u))
     assert act_vectors(g @ g, xi) == act_vectors(g, act_vectors(g, xi))
 
 
@@ -354,6 +364,9 @@ def test_musical_diagonal_frozen():
     assert musical(mu, v) == Form.basis(2, (1,), 2)
     x = Polyvector.basis(2, (1, 2))
     assert musical(mu, x) == Form.basis(2, (1, 2), 6)
+    mu = InnerProduct([[2, 1], [1, 2]])
+    assert musical(mu, v) == Form.basis(2, (1,), 2) + Form.basis(2, (2,))
+    assert musical(mu, x) == Form.basis(2, (1, 2), 3)
 
 
 def test_linmap_det_matches_oracle(rng):

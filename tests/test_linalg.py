@@ -18,6 +18,7 @@ from formlab.linalg import (
 )
 
 from conftest import (
+    det_gauss,
     det_oracle,
     nullspace_oracle,
     perm_sign,
@@ -111,7 +112,7 @@ def test_nullspace_matches_rref_oracle(rows):
 @given(square_strategy())
 @settings(max_examples=100, deadline=None)
 def test_det_matches_permutation_expansion(mat):
-    assert det_fraction(mat) == det_oracle(mat)
+    assert det_fraction(mat) == det_gauss(mat) == det_oracle(mat)
 
 
 def test_det_edge_cases():
