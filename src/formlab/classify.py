@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, lcm
 
 from .exterior import (
@@ -21,17 +20,16 @@ from .exterior import (
     Form,
     FormError,
     LinMap,
-    MultiIndex,
     Polyvector,
     VolumeForm,
     act,
-    contract_sign,
     interior,
     wedge,
 )
 from .invariants import (
     LengthSign,
     StabAlgebra,
+    _contraction_rows,
     length_and_sign,
     rank,
     reduce_form,
@@ -80,22 +78,7 @@ class Fingerprint:
 
 def rank_profile(phi: Form) -> tuple[int, ...]:
     """Ranks of the maps (degree j polyvectors) -> (degree k-j forms), j < k."""
-    n, k = phi.n, phi.k
-    out = []
-    for j in range(1, k):
-        col_of = {J: c for c, J in enumerate(combinations(range(1, n + 1), j))}
-        ncols = len(col_of)
-        rows: dict[MultiIndex, list[Fraction]] = {}
-        for idx, coeff in phi.terms.items():
-            for sub in combinations(idx, j):
-                rest, sign = contract_sign(idx, sub)
-                row = rows.get(rest)
-                if row is None:
-                    row = [Fraction(0)] * ncols
-                    rows[rest] = row
-                row[col_of[sub]] += sign * coeff
-        out.append(rank_rows(list(rows.values()), ncols))
-    return tuple(out)
+    return tuple(rank_rows(*_contraction_rows(phi, j)) for j in range(1, phi.k))
 
 
 def killing_signature(S: StabAlgebra) -> tuple[int, int, int]:
@@ -303,13 +286,16 @@ def _component_count(rep: Form) -> tuple[int | None, str]:
     return None, "component count undetermined"
 
 
-def _entry(
-    name: str,
-    rep: Form,
-    note: str,
-    provenance: str,
-    with_fingerprint: bool,
-) -> CatalogEntry:
+def _has_complete_invariant(n: int, k: int) -> bool:
+    """True where rank (2-forms) or length and sign ((n-2)-forms) decide the orbit.
+
+    classify dispatches these degrees before the catalog, so their catalog
+    entries store no fingerprint.
+    """
+    return (k == 2 and n >= 2) or (k == n - 2 and n >= 3)
+
+
+def _entry(name: str, rep: Form, note: str, provenance: str) -> CatalogEntry:
     components, _ = _component_count(rep)
     return CatalogEntry(
         name=name,
@@ -318,7 +304,7 @@ def _entry(
         representative=rep,
         stabilizer_note=note,
         provenance=provenance,
-        fingerprint=fingerprint(rep) if with_fingerprint else None,
+        fingerprint=None if _has_complete_invariant(rep.n, rep.k) else fingerprint(rep),
         components=components,
     )
 
@@ -380,7 +366,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                     _pair_form(n, r // 2),
                     "rank is a complete invariant; stabilizer is symplectic-type on the support",
                     "literature",
-                    with_fingerprint=False,
                 )
             )
         return tuple(entries)
@@ -391,7 +376,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                 Form(n, k),
                 "zero form",
                 "literature",
-                with_fingerprint=False,
             )
         )
         for l in range(1, (n - 1) // 2 + 1):
@@ -406,7 +390,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                     _martinet_form(n, l, 1),
                     note,
                     "literature",
-                    with_fingerprint=False,
                 )
             )
         if n % 2 == 0:
@@ -419,7 +402,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                         _martinet_form(n, l, s),
                         "maximal length; sign completes the invariant",
                         "literature",
-                        with_fingerprint=False,
                     )
                 )
         return tuple(entries)
@@ -432,7 +414,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                 Form(n, 1, {(1,): Fraction(1)}),
                 "all nonzero 1-forms lie in one orbit",
                 "derived",
-                with_fingerprint=True,
             )
         )
         return tuple(entries)
@@ -444,7 +425,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                 _block_form(n, k, m),
                 f"sum of {m} disjoint decomposable blocks",
                 "derived",
-                with_fingerprint=True,
             )
         )
     if (n, k) == (6, 3):
@@ -454,7 +434,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                 _phi_elliptic_6(),
                 "stabilizer is a real form of the special linear algebra of C^3 preserving a complex structure",
                 "literature",
-                with_fingerprint=True,
             )
         )
     if (n, k) == (7, 3):
@@ -464,7 +443,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                 _phi_split_g2(),
                 "stabilizer algebra is the split exceptional 14-dimensional simple algebra",
                 "literature",
-                with_fingerprint=True,
             )
         )
         entries.append(
@@ -473,7 +451,6 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                 _phi_compact_g2(),
                 "stabilizer algebra is the compact exceptional 14-dimensional simple algebra",
                 "literature",
-                with_fingerprint=True,
             )
         )
     return tuple(entries)
@@ -583,10 +560,8 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
             open=False,
             notes=("0-forms are fixed by the action; the value is the orbit",),
         )
-    if k == 2 and n >= 2:
-        return classify_two_form(phi)
-    if k == n - 2 and n >= 3:
-        return classify_codim_two(phi, omega)
+    if _has_complete_invariant(n, k):
+        return classify_two_form(phi) if k == 2 else classify_codim_two(phi, omega)
     if phi.is_zero:
         return OrbitReport(
             kind="exact",

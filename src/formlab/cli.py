@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
+from math import comb
 from typing import Any
 
 from .classify import (
@@ -42,15 +42,12 @@ from .exterior import (
 )
 from .invariants import (
     is_multisymplectic,
-    is_stable,
     kernel_vectors,
     length_and_sign,
     nilpotency_witness_degenerate,
-    orbit_dimension,
     orientation_reversing_stabilizer_witness,
     rank,
     reduce_form,
-    stabilizer_algebra,
 )
 
 EXIT_OK = 0
@@ -90,6 +87,21 @@ def _check_cap(n: int, k: int) -> None:
         raise DomainError(f"k must satisfy 0 <= k <= n, got k={k} with n={n}")
 
 
+def _load_matrix(path: str, flag: str):
+    """Square rational matrix from a JSON list of rows or an object with 'matrix'."""
+    doc, _ = _load_json(path)
+    if isinstance(doc, dict):
+        doc = doc.get("matrix")
+    if not isinstance(doc, list) or any(
+        not isinstance(row, list) or len(row) != len(doc) for row in doc
+    ):
+        raise ParseError(f"{flag}: expected a square matrix or an object with 'matrix'")
+    return [
+        [parse_rational(x, f"{flag}[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
+        for i, row in enumerate(doc)
+    ]
+
+
 def _load_element(args: argparse.Namespace):
     doc, digest = _load_json(args.input)
     element, doc_volume, doc_metric = parse_document(doc)
@@ -99,15 +111,7 @@ def _load_element(args: argparse.Namespace):
         volume = parse_rational(args.volume, "--volume")
     metric_rows = doc_metric
     if getattr(args, "metric", None) is not None:
-        mdoc, _ = _load_json(args.metric)
-        if isinstance(mdoc, dict):
-            mdoc = mdoc.get("matrix")
-        if not isinstance(mdoc, list):
-            raise ParseError("--metric: expected a matrix or an object with 'matrix'")
-        metric_rows = [
-            [parse_rational(x, f"--metric[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
-            for i, row in enumerate(mdoc)
-        ]
+        metric_rows = _load_matrix(args.metric, "--metric")
     omega = None
     if volume is not None:
         if volume == 0:
@@ -215,13 +219,14 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
         if red.r < n or phi.is_zero:
             g = orientation_reversing_stabilizer_witness(phi)
             witnesses["orientation_reversing"] = _matrix_json(g)
-    S = stabilizer_algebra(phi)
+    fp = fingerprint(phi)
+    orbit_dim = n * n - fp.stab_dim
     inv["stabilizer"] = {
-        "dim": S.dim,
-        "orbit_dimension": orbit_dimension(phi),
-        "stable": is_stable(phi),
+        "dim": fp.stab_dim,
+        "orbit_dimension": orbit_dim,
+        "stable": orbit_dim == comb(n, k),
     }
-    inv["fingerprint"] = _fingerprint_json(fingerprint(phi)) if k >= 1 else None
+    inv["fingerprint"] = _fingerprint_json(fp) if k >= 1 else None
     if k == n - 2 and n >= 3:
         ls = length_and_sign(phi, omega if omega is not None else VolumeForm(n))
         inv["length_sign"] = _length_sign_json(ls)
@@ -233,19 +238,7 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_act(args: argparse.Namespace) -> dict[str, Any]:
     element, _omega, _mu, meta = _load_element(args)
-    mdoc, _ = _load_json(args.matrix)
-    if isinstance(mdoc, dict):
-        mdoc = mdoc.get("matrix")
-    if not isinstance(mdoc, list):
-        raise ParseError("--matrix: expected a matrix or an object with 'matrix'")
-    rows = [
-        [parse_rational(x, f"--matrix[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
-        for i, row in enumerate(mdoc)
-    ]
-    try:
-        g = LinMap(rows)
-    except FormError as exc:
-        raise ParseError(f"--matrix: {exc}") from exc
+    g = LinMap(_load_matrix(args.matrix, "--matrix"))
     if g.n != element.n:
         raise DomainError(f"matrix is {g.n}x{g.n} but the element lives on R^{element.n}")
     moved = act(g, element) if isinstance(element, Form) else act_vectors(g, element)
@@ -306,6 +299,20 @@ def cmd_catalog(args: argparse.Namespace) -> dict[str, Any]:
     return out
 
 
+def _fingerprint_lines(inv: dict[str, Any]) -> list[str]:
+    """The fingerprint and length-sign lines shared by classify and invariants."""
+    lines = []
+    fp = inv.get("fingerprint")
+    if fp is not None:
+        lines.append(
+            f"fingerprint: profile={tuple(fp['rank_profile'])} stab={fp['stab_dim']} killing={tuple(fp['killing'])}"
+        )
+    ls = inv.get("length_sign")
+    if ls is not None:
+        lines.append(f"length-sign: l={ls['length']} lambda={ls['lambda']} sign={ls['sign']}")
+    return lines
+
+
 def _render_text(report: dict[str, Any]) -> str:
     lines: list[str] = []
     command = report.get("command")
@@ -325,26 +332,12 @@ def _render_text(report: dict[str, Any]) -> str:
         inv = report["invariants"]
         if inv["rank"] is not None:
             lines.append(f"rank: {inv['rank']}")
-        if inv["fingerprint"] is not None:
-            fp = inv["fingerprint"]
-            lines.append(
-                f"fingerprint: profile={tuple(fp['rank_profile'])} stab={fp['stab_dim']} killing={tuple(fp['killing'])}"
-            )
-        if inv["length_sign"] is not None:
-            ls = inv["length_sign"]
-            lines.append(
-                f"length-sign: l={ls['length']} lambda={ls['lambda']} sign={ls['sign']}"
-            )
+        lines.extend(_fingerprint_lines(inv))
         comp = report["components"]
         lines.append(f"components: {'undetermined' if comp is None else comp}")
         lines.append(f"open: {'yes' if report['open'] else 'no'}")
         if report["canonical"] is not None:
-            terms = {
-                tuple(t["idx"]): Fraction(t["num"], t["den"])
-                for t in report["canonical"]["terms"]
-            }
-            canon = Form(report["canonical"]["n"], report["canonical"]["k"], terms)
-            lines.append(f"canonical: {format_element(canon)}")
+            lines.append(f"canonical: {format_element(parse_document(report['canonical'])[0])}")
     elif command == "invariants":
         inv = report["invariants"]
         for key in ("rank", "multisymplectic"):
@@ -356,24 +349,12 @@ def _render_text(report: dict[str, Any]) -> str:
         lines.append(
             f"stabilizer dim: {stab['dim']} orbit dim: {stab['orbit_dimension']} stable: {stab['stable']}"
         )
-        if inv.get("fingerprint"):
-            fp = inv["fingerprint"]
-            lines.append(
-                f"fingerprint: profile={tuple(fp['rank_profile'])} stab={fp['stab_dim']} killing={tuple(fp['killing'])}"
-            )
-        if inv.get("length_sign"):
-            ls = inv["length_sign"]
-            lines.append(
-                f"length-sign: l={ls['length']} lambda={ls['lambda']} sign={ls['sign']}"
-            )
+        lines.extend(_fingerprint_lines(inv))
         for name in sorted(report.get("witnesses", {})):
             lines.append(f"witness available: {name}")
     elif command == "act":
         lines.append(f"determinant: {report['determinant']}")
-        doc = report["result"]
-        cls = Form if doc["variance"] == "form" else Polyvector
-        terms = {tuple(t["idx"]): Fraction(t["num"], t["den"]) for t in doc["terms"]}
-        lines.append(f"result: {format_element(cls(doc['n'], doc['k'], terms))}")
+        lines.append(f"result: {format_element(parse_document(report['result'])[0])}")
     elif command == "sample":
         lines.append(
             f"sample: n={report['n']} k={report['k']} trials={report['trials']} bound={report['bound']} seed={report['seed']}"
@@ -386,11 +367,7 @@ def _render_text(report: dict[str, Any]) -> str:
             comp = row["components"]
             comp_text = "?" if comp is None else str(comp)
             lines.append(f"  {row['name']} [{row['provenance']}] components={comp_text}")
-            terms = {
-                tuple(t["idx"]): Fraction(t["num"], t["den"])
-                for t in row["representative"]["terms"]
-            }
-            rep = Form(row["representative"]["n"], row["representative"]["k"], terms)
+            rep = parse_document(row["representative"])[0]
             lines.append(f"    representative: {format_element(rep)}")
     for note in report.get("notes", []):
         lines.append(f"note: {note}")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, lcm
 
 from .exterior import (
     DegreeError,
@@ -20,6 +21,7 @@ from .exterior import (
     Polyvector,
     VolumeForm,
     act,
+    contract_sign,
     normalize_index,
     poincare_inv,
     pullback,
@@ -51,38 +53,47 @@ __all__ = [
 ]
 
 
-def _contraction_rows(t) -> tuple[list[MultiIndex], list[list[Fraction]]]:
-    """Matrix of v -> i_v(t) in coordinates.
+def _integer_terms(t) -> list[tuple[MultiIndex, int]]:
+    """The terms of t scaled by the lcm of its denominators.
 
-    Rows are indexed by the degree k-1 multi-indices that actually occur,
-    columns by the contraction direction 1..n.  The same construction serves
-    forms and polyvectors; only the variance of the answer differs.
+    A common positive scale moves neither the rank nor the kernel of a linear
+    system built from the coefficients, so the builders below work on these.
     """
-    n = t.n
-    rows: dict[MultiIndex, list[Fraction]] = {}
-    for idx, c in t.terms.items():
-        for p, i in enumerate(idx):
-            rest = idx[:p] + idx[p + 1 :]
+    scale = lcm(*(c.denominator for c in t.terms.values()))
+    return [(idx, c.numerator * (scale // c.denominator)) for idx, c in t.terms.items()]
+
+
+def _contraction_rows(t, j: int = 1) -> tuple[list[list[int]], int]:
+    """Integer matrix of X -> i_X(t) for X of degree j, and its column count.
+
+    Columns are the degree-j multi-indices in lexicographic order; rows are
+    the degree k-j multi-indices that actually occur, in no fixed order (rank
+    and nullspace do not depend on it).  t is scaled once to integers by
+    _integer_terms.  The same construction serves forms and polyvectors; only
+    the variance of the answer differs.
+    """
+    col_of = {J: c for c, J in enumerate(combinations(range(1, t.n + 1), j))}
+    ncols = len(col_of)
+    rows: dict[MultiIndex, list[int]] = {}
+    for idx, c in _integer_terms(t):
+        for sub in combinations(idx, j):
+            rest, sign = contract_sign(idx, sub)
             row = rows.get(rest)
             if row is None:
-                row = [Fraction(0)] * n
-                rows[rest] = row
-            row[i - 1] += -c if p % 2 else c
-    keys = sorted(rows)
-    return keys, [rows[key] for key in keys]
+                row = rows[rest] = [0] * ncols
+            row[col_of[sub]] += sign * c
+    return list(rows.values()), ncols
 
 
 def rank(t) -> int:
     """Dimension of the image of v -> i_v(t); the support dimension of t."""
     if t.k < 1:
         raise DegreeError("rank needs degree at least 1")
-    _, rows = _contraction_rows(t)
-    return rank_rows(rows, t.n)
+    return rank_rows(*_contraction_rows(t))
 
 
 def _kernel_basis(t) -> tuple[list[list[int]], list[int]]:
-    _, rows = _contraction_rows(t)
-    return nullspace_rows(rows, t.n)
+    return nullspace_rows(*_contraction_rows(t))
 
 
 def kernel_vectors(phi: Form) -> list[Polyvector]:
@@ -191,24 +202,30 @@ def infinitesimal_act(A: LinMap, phi: Form) -> Form:
 class StabAlgebra:
     """Annihilator of phi inside gl(n, Q): all A with infinitesimal_act(A, phi) = 0.
 
-    The integer matrices in _flat are the same basis as `basis`, kept flat
-    (row-major, length n*n) for structure-constant extraction; each is
-    supported at exactly one of the _free coordinates among the free ones,
-    so coordinates in this basis can be read off directly.
+    The basis is stored once, in _flat: primitive integer matrices flattened
+    row-major to length n*n.  Vector t is supported on the pivot coordinates
+    and on exactly one free coordinate, _free[t], so coordinates in this basis
+    can be read off at the free coordinates.  `basis` builds the same
+    matrices as LinMaps each time it is read.
     """
 
     n: int
     dim: int
-    basis: tuple[LinMap, ...]
     _flat: tuple[tuple[int, ...], ...] = field(repr=False)
     _free: tuple[int, ...] = field(repr=False)
 
+    @property
+    def basis(self) -> tuple[LinMap, ...]:
+        n = self.n
+        return tuple(LinMap([v[r * n : (r + 1) * n] for r in range(n)]) for v in self._flat)
+
 
 def stabilizer_algebra(phi: Form) -> StabAlgebra:
+    """Nullspace of A -> infinitesimal_act(A, phi), built on phi scaled to integers."""
     n = phi.n
     cols = n * n
-    rows: dict[MultiIndex, list[Fraction]] = {}
-    for idx, c in phi.terms.items():
+    rows: dict[MultiIndex, list[int]] = {}
+    for idx, c in _integer_terms(phi):
         for p, i in enumerate(idx):
             for b in range(1, n + 1):
                 norm = normalize_index(idx[:p] + (b,) + idx[p + 1 :])
@@ -217,21 +234,10 @@ def stabilizer_algebra(phi: Form) -> StabAlgebra:
                 jdx, sign = norm
                 row = rows.get(jdx)
                 if row is None:
-                    row = [Fraction(0)] * cols
-                    rows[jdx] = row
+                    row = rows[jdx] = [0] * cols
                 row[(i - 1) * n + (b - 1)] -= sign * c
-    ordered = [rows[key] for key in sorted(rows)]
-    basis_flat, free = nullspace_rows(ordered, cols)
-    mats = tuple(
-        LinMap([vec[r * n : (r + 1) * n] for r in range(n)]) for vec in basis_flat
-    )
-    return StabAlgebra(
-        n=n,
-        dim=len(basis_flat),
-        basis=mats,
-        _flat=tuple(tuple(v) for v in basis_flat),
-        _free=tuple(free),
-    )
+    flat, free = nullspace_rows(list(rows.values()), cols)
+    return StabAlgebra(n=n, dim=len(flat), _flat=tuple(map(tuple, flat)), _free=tuple(free))
 
 
 def orbit_dimension(phi: Form) -> int:

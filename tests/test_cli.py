@@ -296,3 +296,73 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert "two-form:rank=2" in out
+
+
+@pytest.mark.parametrize("command,flag", [("classify", "--metric"), ("act", "--matrix")])
+@pytest.mark.parametrize(
+    "matrix", [[1, 2, 3], [[1, 0, 0], [0, 1]], {"matrix": 5}], ids=["flat", "ragged", "scalar"]
+)
+def test_malformed_matrix_file_exits_2(tmp_path, capsys, command, flag, matrix):
+    doc = {"n": 3, "k": 1, "variance": "vector", "terms": [{"idx": [1], "num": 1}]}
+    path = write_doc(tmp_path, doc)
+    mat = write_doc(tmp_path, matrix, "m.json")
+    code, out, err = run(capsys, [command, path, flag, mat])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_text_reports_frozen(tmp_path, capsys):
+    vec = {
+        "n": 5,
+        "k": 3,
+        "variance": "vector",
+        "terms": [
+            {"idx": [1, 2, 3], "num": 3, "den": 2},
+            {"idx": [1, 2, 4], "num": -1},
+            {"idx": [2, 3, 4], "num": 2, "den": 3},
+        ],
+    }
+    form = {
+        "n": 3,
+        "k": 2,
+        "terms": [{"idx": [1, 2], "num": 3, "den": 2}, {"idx": [2, 3], "num": -1}],
+    }
+    vpath = write_doc(tmp_path, vec, "vec.json")
+    fpath = write_doc(tmp_path, form, "form.json")
+    mat = write_doc(tmp_path, {"matrix": [[1, 1, 0], [0, 1, 0], [2, 0, 1]]}, "g.json")
+    expected = {
+        ("invariants", vpath): [
+            "input: n=5 k=3 variance=vector sha256=417a30c8baeb831d",
+            "rank: 3",
+            "multisymplectic: False",
+            "reduction rank: 3",
+            "stabilizer dim: 18 orbit dim: 7 stable: False",
+            "fingerprint: profile=(3, 3) stab=18 killing=(8, 4, 6)",
+            "length-sign: l=1 lambda=None sign=1",
+            "witness available: nilpotency",
+            "witness available: orientation_reversing",
+            "note: vector input classified through its metric dual form",
+        ],
+        ("act", fpath, "--matrix", mat): [
+            "input: n=3 k=2 variance=form sha256=a5fbf16c678fd119",
+            "determinant: 1",
+            "result: -1/2*e[1,2] - 1*e[2,3]",
+        ],
+        ("catalog", "6", "3"): [
+            "catalog: n=6 k=3 entries=3",
+            "  decomposable [derived] components=1",
+            "    representative: 1*e[1,2,3]",
+            "  split-2 [derived] components=1",
+            "    representative: 1*e[1,2,3] + 1*e[4,5,6]",
+            "  elliptic-6 [literature] components=1",
+            "    representative: 1*e[1,2,3] - 1*e[1,5,6] + 1*e[2,4,6] - 1*e[3,4,5]",
+        ],
+        ("sample", "4", "3", "--trials", "5", "--seed", "2"): [
+            "sample: n=4 k=3 trials=5 bound=9 seed=2",
+            "       5  profile=(3,3) stab=12 killing=(6,3,3)",
+        ],
+    }
+    for argv, lines in expected.items():
+        code, out, err = run(capsys, list(argv))
+        assert code == 0 and err == ""
+        assert out == "\n".join(lines) + "\n"

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -11,21 +14,26 @@ from formlab import (
     VolumeForm,
     act,
     act_vectors,
+    infinitesimal_act,
     interior,
     is_multisymplectic,
     is_stable,
     kernel_vectors,
     length_and_sign,
+    multi_interior,
     nilpotency_witness_degenerate,
     orbit_dimension,
     orientation_reversing_stabilizer_witness,
     poincare,
     rank,
+    rank_profile,
     reduce_form,
     stabilizer_algebra,
     wedge,
 )
 from formlab.sampling import random_gl, random_nonzero_form, trial_rng
+
+from conftest import nullspace_oracle, rref_rank
 
 
 def e(n, *idx):
@@ -125,6 +133,51 @@ def test_stabilizer_dimension_is_action_invariant():
     for trial in range(5):
         g = random_gl(6, trial_rng(8, trial), det_sign=-1)
         assert stabilizer_algebra(act(g, phi)).dim == d
+
+
+def _indices(n, k):
+    return list(combinations(range(1, n + 1), k))
+
+
+@pytest.mark.parametrize("cls", [Form, Polyvector])
+def test_integer_builders_match_oracles_on_rational_input(cls):
+    # The contraction and stabilizer builders scale by the denominator lcm.
+    # The oracles take the rational coefficients of multi_interior(e_J, phi)
+    # and infinitesimal_act(E_ib, phi) column by column, sharing no code with
+    # the builders.  Contraction sees only the coefficient pattern, so a
+    # polyvector is checked against the form with the same terms.
+    rng = random.Random(4104)
+    for n in range(1, 7):
+        for k in range(n + 1):
+            terms = {
+                idx: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 10)))
+                for idx in _indices(n, k)
+                if rng.random() < 0.6
+            }
+            t = cls(n, k, terms)
+            phi = Form(n, k, terms)
+            oracle_rows = {}
+            for j in range(1, k + 1):
+                cols = [multi_interior(ev(n, *J), phi) for J in _indices(n, j)]
+                oracle_rows[j] = [[c.coeff(I) for c in cols] for I in _indices(n, k - j)]
+            assert rank_profile(t) == tuple(
+                rref_rank(oracle_rows[j], comb(n, j)) for j in range(1, k)
+            )
+            if k >= 1:
+                assert rank(t) == rref_rank(oracle_rows[1], n)
+                kernel, _ = nullspace_oracle(oracle_rows[1], n)
+                assert [v.coords() for v in kernel_vectors(phi)] == kernel
+            units = [
+                LinMap([[int((r, c) == (i, b)) for c in range(n)] for r in range(n)])
+                for i in range(n)
+                for b in range(n)
+            ]
+            moved = [infinitesimal_act(E, phi) for E in units]
+            rows = [[m.coeff(I) for m in moved] for I in _indices(n, k)]
+            S = stabilizer_algebra(phi)
+            assert ([list(v) for v in S._flat], list(S._free)) == nullspace_oracle(rows, n * n)
+            assert S.dim == len(S._flat)
+            assert all(infinitesimal_act(A, phi).is_zero for A in S.basis)
 
 
 # ------------------------------------------------------------ length and sign
