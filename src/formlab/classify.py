@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 
 from .exterior import (
     DegreeError,
@@ -84,9 +85,11 @@ def rank_profile(phi: Form) -> tuple[int, ...]:
 def killing_signature(S: StabAlgebra) -> tuple[int, int, int]:
     """Inertia of K(A, B) = tr(ad_A ad_B) on the span of the basis.
 
-    Structure constants are read off at the free coordinates of the nullspace
-    basis, scaled to integers so the Gram matrix stays integral; positive
-    scaling does not move inertia.
+    Structure constants are read off at the free spots of the nullspace basis,
+    one dot product of a row and a column per pair of basis elements that meet
+    there, and scaled to integers so the Gram matrix stays integral; positive
+    scaling does not move inertia.  Each trace gathers only the nonzeros of
+    one ad against the other (_killing_gram).
     """
     s = S.dim
     if s == 0:
@@ -104,40 +107,75 @@ def killing_signature(S: StabAlgebra) -> tuple[int, int, int]:
 def _killing_from_basis(
     n: int, flats: tuple[tuple[int, ...], ...], free: tuple[int, ...]
 ) -> tuple[int, int, int]:
+    """Killing signature of the algebra with basis flats and free spots free."""
+    return inertia_fraction(_killing_gram(n, flats, free))
+
+
+def _killing_gram(
+    n: int, flats: tuple[tuple[int, ...], ...], free: tuple[int, ...]
+) -> list[list[int]]:
+    """Integer Gram matrix scale^2 * tr(ad X_t ad X_u) of the stored basis.
+
+    Basis element v is the only one nonzero at its free spot (i, j), so the
+    v-coordinate of [X_t, X_u] is its (i, j) entry over the pivot of v:
+    X_t[i,:].X_u[:,j] - X_u[i,:].X_t[:,j].  Per spot, only elements with a
+    nonzero row i meet elements with a nonzero column j; each product is a
+    C-level dot product, and antisymmetry gives [X_u, X_t] for free.  Each
+    ad X_t keeps only its nonzeros, which are gathered against the flat
+    transpose of ad X_u, so the trace costs one product per nonzero.
+    """
     s = len(flats)
     piv = [flats[t][free[t]] for t in range(s)]
     scale = lcm(*(abs(p) for p in piv))
-    mult = [scale // p for p in piv]
-    mats = [[list(v[r * n : (r + 1) * n]) for r in range(n)] for v in flats]
-    spots = [divmod(f, n) for f in free]
-    # ads[t][v][u] = scale * (coefficient of basis v in [X_t, X_u])
-    ads: list[list[list[int]]] = []
-    for t in range(s):
-        At = mats[t]
-        ad = [[0] * s for _ in range(s)]
-        for u in range(s):
-            Au = mats[u]
-            for v, (i, j) in enumerate(spots):
-                Ai, Bi = At[i], Au[i]
-                c = sum(Ai[m] * Au[m][j] - Bi[m] * At[m][j] for m in range(n))
-                if c:
-                    ad[v][u] = c * mult[v]
-        ads.append(ad)
+    rows = [[v[r * n : (r + 1) * n] for r in range(n)] for v in flats]
+    cols = [[v[c::n] for c in range(n)] for v in flats]
+    with_row = [[t for t in range(s) if any(rows[t][r])] for r in range(n)]
+    with_col = [[t for t in range(s) if any(cols[t][c])] for c in range(n)]
+    # ad X_t as parallel lists: keys[t] holds v*s + u for a nonzero entry
+    # ad_t[v][u] = scale * (coefficient of basis v in [X_t, X_u]), vals[t]
+    # the value.  Keys are taken from `position`, so every ad that has an
+    # entry at v*s + u shares one int object for it.
+    position = list(range(s * s))
+    keys: list[list[int]] = [[] for _ in range(s)]
+    vals: list[list[int]] = [[] for _ in range(s)]
+    for v, f in enumerate(free):
+        i, j = divmod(f, n)
+        m = scale // piv[v]
+        col_j = [(u, cols[u][j]) for u in with_col[j]]
+        dots: dict[tuple[int, int], int] = {}
+        for t in with_row[i]:
+            row = rows[t][i]
+            for u, col in col_j:
+                if u != t:
+                    d = sum(map(mul, row, col))
+                    if d:
+                        dots[t, u] = d
+        base = v * s
+        for (t, u), d in dots.items():
+            back = dots.get((u, t))
+            if back is not None:
+                if t > u:
+                    continue
+                d -= back
+                if not d:
+                    continue
+            c = m * d
+            keys[t].append(position[base + u])
+            vals[t].append(c)
+            keys[u].append(position[base + t])
+            vals[u].append(-c)
     gram = [[0] * s for _ in range(s)]
-    for t in range(s):
-        adt = ads[t]
-        for u in range(t, s):
-            adu = ads[u]
-            total = 0
-            for a in range(s):
-                row = adt[a]
-                for b in range(s):
-                    x = row[b]
-                    if x:
-                        total += x * adu[b][a]
+    for u in range(s):
+        transposed = [0] * (s * s)
+        for p, x in zip(keys[u], vals[u]):
+            v, w = divmod(p, s)
+            transposed[w * s + v] = x
+        gather = transposed.__getitem__
+        for t in range(u + 1):
+            total = sum(map(mul, vals[t], map(gather, keys[t])))
             gram[t][u] = total
             gram[u][t] = total
-    return inertia_fraction(gram)
+    return gram
 
 
 def fingerprint(phi: Form) -> Fingerprint:

@@ -112,6 +112,8 @@ def _load_element(args: argparse.Namespace):
     metric_rows = doc_metric
     if getattr(args, "metric", None) is not None:
         metric_rows = _load_matrix(args.metric, "--metric")
+        if len(metric_rows) != element.n:
+            raise ParseError(f"--metric must be an {element.n}x{element.n} matrix")
     omega = None
     if volume is not None:
         if volume == 0:

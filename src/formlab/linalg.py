@@ -18,6 +18,7 @@ from math import gcd, prod
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
+_INT_ONLY = frozenset({int})
 
 __all__ = [
     "as_fraction",
@@ -52,9 +53,15 @@ def _row_lcm(row: Iterable[Scalar]) -> int:
 
 
 def to_int_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators; rank and nullspace survive."""
+    """Scale each row by the lcm of its denominators; rank and nullspace survive.
+
+    A row that holds only ints is copied as it is, after one type scan.
+    """
     out = []
     for row in rows:
+        if _INT_ONLY.issuperset(map(type, row)):
+            out.append(list(row))
+            continue
         l = _row_lcm(row)
         if l == 1:
             out.append([int(x) for x in row])

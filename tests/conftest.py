@@ -126,6 +126,72 @@ def pairing(phi: Form, xi: Polyvector) -> Fraction:
     return sum((c * xi.terms.get(idx, Fraction(0)) for idx, c in phi.terms.items()), Fraction(0))
 
 
+def killing_gram_oracle(S):
+    """Gram matrix tr(ad X_t ad X_u) of the LinMaps in S.basis, over Fraction.
+
+    Each bracket [X_t, X_u] is solved for its coordinates on its own: the
+    basis is restricted to the coordinates where textbook Gauss-Jordan finds
+    its pivots, that s x s block is inverted, and the solution is checked
+    against every entry of the bracket, so the bracket must lie in the span.
+    Nothing here reads the free spots of the package's basis.  Zero entries
+    are skipped throughout, which keeps s = 48 within seconds.
+    """
+    mats = [X.entries for X in S.basis]
+    s, n = len(mats), S.n
+    flat = [[x for row in X for x in row] for X in mats]
+    _, pivots = rref(flat, n * n)
+    assert len(pivots) == s
+    block = [
+        [flat[v][p] for v in range(s)] + [int(i == j) for j in range(s)]
+        for i, p in enumerate(pivots)
+    ]
+    reduced, _ = rref(block, 2 * s)
+    inv_cols = [[(a, row[s + i]) for a, row in enumerate(reduced) if row[s + i]] for i in range(s)]
+    support = [[(p, x) for p, x in enumerate(f) if x] for f in flat]
+    nonzero = [[[(m, x) for m, x in enumerate(row) if x] for row in X] for X in mats]
+
+    def product(t, u):
+        out = [Fraction(0)] * (n * n)
+        B = mats[u]
+        for i, row in enumerate(nonzero[t]):
+            for m, x in row:
+                for j, y in enumerate(B[m]):
+                    if y:
+                        out[i * n + j] += x * y
+        return out
+
+    def coordinates(b):
+        c = [Fraction(0)] * s
+        for i, p in enumerate(pivots):
+            if b[p]:
+                for a, x in inv_cols[i]:
+                    c[a] += x * b[p]
+        back = [Fraction(0)] * (n * n)
+        for v, cv in enumerate(c):
+            if cv:
+                for p, x in support[v]:
+                    back[p] += cv * x
+        assert back == b
+        return c
+
+    # ad[t][(v, u)] = coefficient of X_v in [X_t, X_u], nonzeros only
+    ad = [{} for _ in range(s)]
+    for t in range(s):
+        for u in range(t + 1, s):
+            bracket = [x - y for x, y in zip(product(t, u), product(u, t))]
+            for v, c in enumerate(coordinates(bracket)):
+                if c:
+                    ad[t][v, u] = c
+                    ad[u][v, t] = -c
+    return [
+        [
+            sum((x * ad[u].get((w, v), 0) for (v, w), x in ad[t].items()), Fraction(0))
+            for u in range(s)
+        ]
+        for t in range(s)
+    ]
+
+
 def random_int_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 

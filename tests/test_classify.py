@@ -2,6 +2,8 @@ import importlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab import (
     DegreeError,
@@ -23,11 +25,14 @@ from formlab import (
 from formlab.classify import (
     MAX_DIMENSION,
     _killing_from_basis,
+    _killing_gram,
     _phi_compact_g2,
     _phi_elliptic_6,
     _phi_split_g2,
 )
-from formlab.sampling import random_gl, trial_rng
+from formlab.sampling import random_form, random_gl, trial_rng
+
+from conftest import killing_gram_oracle
 
 
 def e(n, *idx):
@@ -76,6 +81,86 @@ def test_killing_exceptional_values():
     assert killing_signature(stabilizer_algebra(_phi_split_g2())) == (8, 6, 0)
     assert killing_signature(stabilizer_algebra(_phi_compact_g2())) == (0, 14, 0)
     assert killing_signature(stabilizer_algebra(_phi_elliptic_6())) == (8, 8, 0)
+
+
+def test_killing_decomposable_at_dimension_cap():
+    # the largest stabilizer the fingerprint path meets at n = 12
+    S = stabilizer_algebra(e(12, 1, 2, 3))
+    assert S.dim == 116
+    assert killing_signature(S) == (50, 39, 27)
+
+
+def _assert_gram_matches_oracle(phi):
+    S = stabilizer_algebra(phi)
+    gram = _killing_gram(S.n, S._flat, S._free)
+    oracle = killing_gram_oracle(S)
+    s = S.dim
+    nonzero = [(t, u) for t in range(s) for u in range(s) if oracle[t][u]]
+    if not nonzero:
+        assert all(x == 0 for row in gram for x in row)
+        return
+    t, u = nonzero[0]
+    scale = gram[t][u] / oracle[t][u]
+    assert scale > 0
+    assert gram == [[scale * x for x in row] for row in oracle]
+
+
+def _rank6_in_r9(moved):
+    phi = Form(9, 3, random_form(6, 3, 4, trial_rng(61, 0)).terms)
+    assert rank(phi) == 6
+    return act(random_gl(9, trial_rng(61, 1)), phi) if moved else phi
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        pytest.param(random_form(6, 3, 9, trial_rng(60, 6)), id="generic-6-3"),
+        pytest.param(random_form(7, 3, 9, trial_rng(60, 7)), id="generic-7-3"),
+        pytest.param(random_form(8, 3, 9, trial_rng(60, 8)), id="generic-8-3"),
+        pytest.param(_rank6_in_r9(moved=False), id="rank6-in-r9"),
+        pytest.param(_rank6_in_r9(moved=True), id="rank6-in-r9-moved"),
+        pytest.param(
+            Form(
+                6,
+                3,
+                {
+                    (1, 2, 3): Fraction(1, 2),
+                    (1, 4, 5): Fraction(-2, 3),
+                    (2, 4, 6): Fraction(3, 5),
+                    (3, 5, 6): Fraction(7, 4),
+                    (2, 3, 4): 5,
+                },
+            ),
+            id="mixed-denominators",
+        ),
+    ],
+)
+def test_killing_gram_matches_oracle(phi):
+    _assert_gram_matches_oracle(phi)
+
+
+def test_killing_gram_matches_oracle_on_catalog():
+    for n in (6, 7, 8):
+        for entry in catalog_entries(n, 3):
+            if entry.fingerprint.stab_dim < n * n:
+                _assert_gram_matches_oracle(entry.representative)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_killing_signature_is_action_invariant(data):
+    # g changes the stabilizer basis and with it the sparsity pattern the
+    # Gram build sees; the signature must not move
+    n = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(1, n - 1))
+    index = st.sets(st.integers(1, n), min_size=k, max_size=k).map(lambda x: tuple(sorted(x)))
+    coeffs = st.integers(-3, 3).filter(bool)
+    terms = data.draw(st.dictionaries(index, coeffs, min_size=1, max_size=5))
+    phi = Form(n, k, terms)
+    rng = trial_rng(data.draw(st.integers(0, 2**16)), n)
+    g = random_gl(n, rng, det_sign=data.draw(st.sampled_from((1, -1))))
+    base = killing_signature(stabilizer_algebra(phi))
+    assert killing_signature(stabilizer_algebra(act(g, phi))) == base
 
 
 def test_fingerprint_str():

@@ -311,6 +311,22 @@ def test_malformed_matrix_file_exits_2(tmp_path, capsys, command, flag, matrix):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_metric_file_of_wrong_size_exits_2(tmp_path, capsys, command):
+    # a 3x3 --metric for a vector on R^2 is malformed input, as it is in the
+    # document's own metric field
+    doc = {"n": 2, "k": 1, "variance": "vector", "terms": [{"idx": [1], "num": 1}]}
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    mat = write_doc(tmp_path, identity, "m3.json")
+    for argv in (
+        [command, write_doc(tmp_path, doc), "--metric", mat],
+        [command, write_doc(tmp_path, {**doc, "metric": identity}, "with_metric.json")],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
 def test_text_reports_frozen(tmp_path, capsys):
     vec = {
         "n": 5,
