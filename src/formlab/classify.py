@@ -29,11 +29,12 @@ from .exterior import (
 )
 from .invariants import (
     LengthSign,
+    Reduction,
     StabAlgebra,
     _contraction_rows,
+    _reduced_stabilizer,
     length_and_sign,
     rank,
-    reduce_form,
     stabilizer_algebra,
 )
 from .linalg import det_fraction, inertia_fraction, rank_rows
@@ -108,13 +109,13 @@ def _killing_from_basis(
     n: int, flats: tuple[tuple[int, ...], ...], free: tuple[int, ...]
 ) -> tuple[int, int, int]:
     """Killing signature of the algebra with basis flats and free spots free."""
-    return inertia_fraction(_killing_gram(n, flats, free))
+    return inertia_fraction(_killing_gram(n, flats, free)[0])
 
 
 def _killing_gram(
     n: int, flats: tuple[tuple[int, ...], ...], free: tuple[int, ...]
-) -> list[list[int]]:
-    """Integer Gram matrix scale^2 * tr(ad X_t ad X_u) of the stored basis.
+) -> tuple[list[list[int]], int]:
+    """Integer Gram matrix scale^2 * tr(ad X_t ad X_u) of the stored basis, and scale.
 
     Basis element v is the only one nonzero at its free spot (i, j), so the
     v-coordinate of [X_t, X_u] is its (i, j) entry over the pivot of v:
@@ -175,16 +176,70 @@ def _killing_gram(
             total = sum(map(mul, vals[t], map(gather, keys[t])))
             gram[t][u] = total
             gram[u][t] = total
-    return gram
+    return gram, scale
 
 
 def fingerprint(phi: Form) -> Fingerprint:
-    S = stabilizer_algebra(phi)
-    return Fingerprint(
-        rank_profile=rank_profile(phi),
-        stab_dim=S.dim,
-        killing_signature=killing_signature(S),
+    """Rank profile, stabilizer dimension and Killing signature of phi.
+
+    A form of rank 0 < r < n is fingerprinted on its rank-r reduction phi_r,
+    with m = n - r.  In a frame whose last m vectors span W = ker phi, A
+    fixes phi exactly when it preserves W and induces an element of
+    stab(phi_r) on R^n/W, so stab(phi) = (stab(phi_r) + gl(m)) x Hom(R^r, R^m):
+    A = [[a, 0], [c, d]] with a in stab(phi_r), c and d free.  Hence:
+
+    * the contraction ranks are those of phi_r;
+    * stab_dim = s_r + n*m;
+    * the Killing signature follows from the Killing form K_r of stab(phi_r).
+      Hom(R^r, R^m) is an abelian ideal, so it lies in the radical of K.  On
+      the rest, K = K_r(a, a') + m tr(aa') + (2m + r) tr(dd') - 2 tr d tr d'
+      - tr d tr a' - tr a tr d', which makes sl(m) orthogonal to everything
+      else with K = (2m + r) tr(dd') there.  On stab(phi_r) + R Id_m the Gram
+      matrix is [[K_r + m T, -m tau], [-m tau^T, r m]], with
+      T(t, u) = tr(X_t X_u) and tau(t) = tr X_t.  A Schur complement on its
+      positive entry r m, scaled by r, leaves
+      killing = inertia(r K_r + r m T - m tau tau^T)
+                + (m(m+1)/2, m(m-1)/2, r m).
+
+    Full-rank forms solve phi itself, without a second degree-1 solve for
+    the first rank; zero forms and 0-forms keep the stabilizer of phi.
+    killing_signature(stabilizer_algebra(phi)) is the generic path, and the
+    tests compare the two.
+    """
+    return _fingerprint(phi)[0]
+
+
+def _fingerprint(
+    phi: Form,
+) -> tuple[Fingerprint, Reduction | None, list[list[int]] | None]:
+    """fingerprint(phi), the reduction it used, and the Killing Gram of stab(phi_r).
+
+    The reduction and the Gram are None for zero forms and 0-forms.
+    """
+    red, S, stab_dim = _reduced_stabilizer(phi)
+    if red is None:
+        return Fingerprint(rank_profile(phi), stab_dim, killing_signature(S)), None, None
+    phi_r, r, m = red.reduced, red.r, phi.n - red.r
+    profile = tuple(
+        r if j == 1 else rank_rows(*_contraction_rows(phi_r, j)) for j in range(1, phi.k)
     )
+    gram, scale = _killing_gram(r, S._flat, S._free)
+    if not m:
+        return Fingerprint(profile, stab_dim, inertia_fraction(gram)), red, gram
+    flats = S._flat
+    traces = [sum(x[:: r + 1]) for x in flats]
+    transposed = [[y for c in range(r) for y in x[c::r]] for x in flats]
+    sq = scale * scale
+    block = [
+        [
+            r * g + sq * m * (r * sum(map(mul, x, y)) - tx * ty)
+            for g, y, ty in zip(row, transposed, traces)
+        ]
+        for row, x, tx in zip(gram, flats, traces)
+    ]
+    p, q, z = inertia_fraction(block)
+    killing = (p + m * (m + 1) // 2, q + m * (m - 1) // 2, z + r * m)
+    return Fingerprint(profile, stab_dim, killing), red, gram
 
 
 @dataclass(frozen=True)
@@ -616,8 +671,41 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
             notes=("the zero form is a fixed point",),
         )
     _check_coverage(n, k)
-    r = rank(phi)
-    fp = fingerprint(phi)
+    fp, red, gram = _fingerprint(phi)
+    r = red.r
+    base = _catalog_verdict(phi, r, fp)
+    if base.kind != "unknown" or r == n:
+        return base
+    if _has_complete_invariant(r, k):
+        sub = classify(red.reduced, VolumeForm(r))
+    else:
+        # phi_r has full rank, the same profile and the stabilizer whose Gram
+        # _fingerprint built, so only its inertia is new.
+        sub_fp = Fingerprint(fp.rank_profile, len(gram), inertia_fraction(gram))
+        sub = _catalog_verdict(red.reduced, r, sub_fp)
+    note = f"classified through the rank-{r} reduction"
+    if sub.kind == "unknown":
+        return replace(base, components=1, notes=(note, "no catalog match for the reduced form"))
+    # An exact sub-verdict has no candidates, a candidates one no id or canonical form.
+    return replace(
+        base,
+        kind=sub.kind,
+        orbit_id=f"rank{r}:{sub.orbit_id}" if sub.orbit_id is not None else None,
+        candidates=tuple(f"rank{r}:{name}" for name in sub.candidates),
+        length_sign=sub.length_sign,
+        canonical=_inflate(sub.canonical, n) if sub.canonical is not None else None,
+        components=1,
+        notes=(note,) + sub.notes,
+    )
+
+
+def _catalog_verdict(phi: Form, r: int, fp: Fingerprint) -> OrbitReport:
+    """The catalog's verdict on a nonzero phi of rank r with fingerprint fp.
+
+    A degenerate phi without a catalog match comes back `unknown` with no
+    notes; classify then tries its reduction.
+    """
+    n, k = phi.n, phi.k
     base = OrbitReport(
         kind="unknown",
         orbit_id=None,
@@ -657,21 +745,7 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         return replace(
             base, notes=("no catalog match at full rank; invariants reported as computed",)
         )
-    sub = classify(reduce_form(phi).reduced, VolumeForm(r))
-    note = f"classified through the rank-{r} reduction"
-    if sub.kind == "unknown":
-        return replace(base, components=1, notes=(note, "no catalog match for the reduced form"))
-    # An exact sub-verdict has no candidates, a candidates one no id or canonical form.
-    return replace(
-        base,
-        kind=sub.kind,
-        orbit_id=f"rank{r}:{sub.orbit_id}" if sub.orbit_id is not None else None,
-        candidates=tuple(f"rank{r}:{name}" for name in sub.candidates),
-        length_sign=sub.length_sign,
-        canonical=_inflate(sub.canonical, n) if sub.canonical is not None else None,
-        components=1,
-        notes=(note,) + sub.notes,
-    )
+    return base
 
 
 def sample_orbit_statistics(

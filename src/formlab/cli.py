@@ -41,11 +41,10 @@ from .exterior import (
     musical,
 )
 from .invariants import (
-    is_multisymplectic,
+    _kernel_reflection,
     kernel_vectors,
     length_and_sign,
     nilpotency_witness_degenerate,
-    orientation_reversing_stabilizer_witness,
     rank,
     reduce_form,
 )
@@ -214,12 +213,13 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
         inv["rank"] = None
     phi = _as_form(element, mu, notes)
     if k >= 1:
-        inv["multisymplectic"] = is_multisymplectic(phi)
+        # musical is invertible, so phi has the rank of the element
+        inv["multisymplectic"] = inv["rank"] == n
         inv["kernel"] = [element_to_document(v) for v in kernel_vectors(phi)]
         red = reduce_form(phi)
         inv["reduction"] = {"r": red.r, "reduced": element_to_document(red.reduced)}
-        if red.r < n or phi.is_zero:
-            g = orientation_reversing_stabilizer_witness(phi)
+        if red.r < n:
+            g = _kernel_reflection(red.frame, red.r)
             witnesses["orientation_reversing"] = _matrix_json(g)
     fp = fingerprint(phi)
     orbit_dim = n * n - fp.stab_dim

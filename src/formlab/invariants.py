@@ -108,21 +108,31 @@ def is_multisymplectic(phi: Form) -> bool:
     return rank(phi) == phi.n
 
 
-def _complement_frame(t) -> tuple[LinMap, int]:
+def _complement_frame(n: int, kernel: list[list[int]], free: list[int]) -> LinMap:
     """Invertible frame whose first r columns span a complement of ker L_t.
 
-    The complement is spanned by the coordinate directions at which the
-    echelon form of L_t has pivots; the remaining columns are the kernel
-    basis itself, so the frame splits R^n as (complement) + (kernel).
+    kernel and free are the nullspace basis of L_t and its free columns.  The
+    complement is spanned by the coordinate directions at which the echelon
+    form of L_t has pivots; the remaining columns are the kernel basis itself,
+    so the frame splits R^n as (complement) + (kernel).
     """
-    n = t.n
-    kernel, free = _kernel_basis(t)
-    pivot_cols = [c for c in range(n) if c not in set(free)]
-    cols: list[list[Scalar]] = []
-    for c in pivot_cols:
-        cols.append([int(i == c) for i in range(n)])
+    free_cols = set(free)
+    cols: list[list[Scalar]] = [
+        [int(i == c) for i in range(n)] for c in range(n) if c not in free_cols
+    ]
     cols.extend(kernel)
-    return LinMap.from_columns(cols), len(pivot_cols)
+    return LinMap.from_columns(cols)
+
+
+def _kernel_reflection(frame: LinMap, r: int) -> LinMap:
+    """frame . diag(1^r, -1, 1, ...) . frame^{-1}: a reflection of column r + 1.
+
+    When the last n - r columns of frame span the kernel of a form, this
+    element of determinant -1 fixes the form.
+    """
+    n = frame.n
+    reflect = LinMap.diagonal([1] * r + [-1] + [1] * (n - r - 1))
+    return frame @ reflect @ frame.inverse()
 
 
 @dataclass(frozen=True)
@@ -146,7 +156,12 @@ class Reduction:
 
 
 def reduce_form(phi: Form) -> Reduction:
-    """Split off ker L_phi and express phi on the complement, relabeled to R^r."""
+    """Split off ker L_phi and express phi on the complement, relabeled to R^r.
+
+    One nullspace solve of the degree-1 contraction system gives r, the frame
+    and the kernel.  At full rank the frame is the identity and phi is its own
+    reduction, so no pullback is taken.
+    """
     if phi.k < 1:
         raise DegreeError("reduce needs degree at least 1")
     n = phi.n
@@ -158,7 +173,12 @@ def reduce_form(phi: Form) -> Reduction:
             frame=LinMap.identity(n),
             original_n=n,
         )
-    frame, r = _complement_frame(phi)
+    kernel, free = _kernel_basis(phi)
+    r = n - len(kernel)
+    if r == n:
+        frame = LinMap.identity(n)
+        return Reduction(r=n, reduced=phi, embedding=frame.entries, frame=frame, original_n=n)
+    frame = _complement_frame(n, kernel, free)
     raw = pullback(frame, phi)
     for idx in raw.terms:
         if idx and idx[-1] > r:
@@ -240,8 +260,26 @@ def stabilizer_algebra(phi: Form) -> StabAlgebra:
     return StabAlgebra(n=n, dim=len(flat), _flat=tuple(map(tuple, flat)), _free=tuple(free))
 
 
+def _reduced_stabilizer(phi: Form) -> tuple[Reduction | None, StabAlgebra, int]:
+    """The stabilizer algebra to solve for phi, and the dimension of stab(phi).
+
+    For phi of rank r >= 1, stab(phi) = (stab(phi_r) + gl(n - r)) x
+    Hom(R^r, R^(n-r)) on the rank-r reduction phi_r (see classify.fingerprint),
+    so this returns (reduce_form(phi), stabilizer_algebra(phi_r),
+    s_r + n(n - r)) and solves only the r^2-column system.  Zero forms and
+    0-forms return (None, stabilizer_algebra(phi), its dimension).
+    """
+    if phi.k < 1 or phi.is_zero:
+        S = stabilizer_algebra(phi)
+        return None, S, S.dim
+    red = reduce_form(phi)
+    S = stabilizer_algebra(red.reduced)
+    return red, S, S.dim + phi.n * (phi.n - red.r)
+
+
 def orbit_dimension(phi: Form) -> int:
-    return phi.n * phi.n - stabilizer_algebra(phi).dim
+    """n^2 - dim stab(phi), with the stabilizer solved at rank r (_reduced_stabilizer)."""
+    return phi.n * phi.n - _reduced_stabilizer(phi)[2]
 
 
 def is_stable(phi: Form) -> bool:
@@ -355,9 +393,8 @@ def orientation_reversing_stabilizer_witness(phi: Form) -> LinMap:
         raise DegreeError("witness needs degree at least 1")
     if phi.is_zero:
         return LinMap.diagonal([-1] + [1] * (phi.n - 1))
-    frame, r = _complement_frame(phi)
     n = phi.n
-    if r == n:
+    kernel, free = _kernel_basis(phi)
+    if not kernel:
         raise FormError("no witness by this construction: form is non-degenerate")
-    reflect = LinMap.diagonal([1] * r + [-1] + [1] * (n - r - 1))
-    return frame @ reflect @ frame.inverse()
+    return _kernel_reflection(_complement_frame(n, kernel, free), n - len(kernel))

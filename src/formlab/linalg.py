@@ -221,11 +221,16 @@ def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
     Symmetric congruence elimination; when the active diagonal vanishes but an
     off-diagonal entry a_ij does not, adding row and column j to i produces the
     diagonal entry 2*a_ij (characteristic zero), after which elimination
-    proceeds.  Congruence preserves inertia, so the count is exact.
+    proceeds.  Congruence preserves inertia, so the count is exact.  Zero rows
+    (and with them, by symmetry, zero columns) are dropped first, each adding
+    one to the zero count, so only the rest is converted to Fraction.  The
+    matrix stays symmetric, so each pivot updates only the rows and columns
+    where its own row is nonzero.
     """
-    m = len(sym)
-    S = [[as_fraction(x) for x in row] for row in sym]
-    active = list(range(m))
+    keep = [i for i, row in enumerate(sym) if any(row)]
+    dropped = len(sym) - len(keep)
+    S = [[as_fraction(sym[i][j]) for j in keep] for i in keep]
+    active = list(range(len(keep)))
     p = q = 0
     while active:
         piv = next((i for i in active if S[i][i]), None)
@@ -239,7 +244,7 @@ def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
                 if pair:
                     break
             if pair is None:
-                return p, q, len(active)
+                return p, q, len(active) + dropped
             i, j = pair
             for c in active:
                 S[i][c] += S[j][c]
@@ -252,13 +257,14 @@ def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
         else:
             q += 1
         active.remove(piv)
-        for r in active:
-            f = S[r][piv] / d
-            if f:
-                Sr, Sp = S[r], S[piv]
-                for c in active:
-                    Sr[c] -= f * Sp[c]
-    return p, q, 0
+        Sp = S[piv]
+        support = [c for c in active if Sp[c]]
+        for r in support:
+            f = Sp[r] / d
+            Sr = S[r]
+            for c in support:
+                Sr[c] -= f * Sp[c]
+    return p, q, dropped
 
 
 def skew_pairs(

@@ -192,6 +192,40 @@ def killing_gram_oracle(S):
     ]
 
 
+def inertia_oracle(sym) -> tuple[int, int, int]:
+    """Inertia by symmetric congruence elimination over Fraction on every row.
+
+    Zero rows and zero entries go through the elimination like any other, so
+    this is the reference for inertia_fraction, which skips them.
+    """
+    S = [[Fraction(x) for x in row] for row in sym]
+    active = list(range(len(S)))
+    p = q = 0
+    while active:
+        piv = next((i for i in active if S[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active if i < j and S[i][j]), None)
+            if pair is None:
+                return p, q, len(active)
+            i, j = pair
+            for c in active:
+                S[i][c] += S[j][c]
+            for r in active:
+                S[r][i] += S[r][j]
+            piv = i
+        d = S[piv][piv]
+        if d > 0:
+            p += 1
+        else:
+            q += 1
+        active.remove(piv)
+        for r in active:
+            f = S[r][piv] / d
+            for c in active:
+                S[r][c] -= f * S[piv][c]
+    return p, q, 0
+
+
 def random_int_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from formlab import (
     DegreeError,
+    Fingerprint,
     Form,
     FormError,
     VolumeForm,
@@ -84,15 +85,16 @@ def test_killing_exceptional_values():
 
 
 def test_killing_decomposable_at_dimension_cap():
-    # the largest stabilizer the fingerprint path meets at n = 12
+    # the largest stabilizer at n = 12; fingerprint solves it at rank 3
     S = stabilizer_algebra(e(12, 1, 2, 3))
     assert S.dim == 116
     assert killing_signature(S) == (50, 39, 27)
+    assert fingerprint(e(12, 1, 2, 3)) == Fingerprint((3, 3), 116, (50, 39, 27))
 
 
 def _assert_gram_matches_oracle(phi):
     S = stabilizer_algebra(phi)
-    gram = _killing_gram(S.n, S._flat, S._free)
+    gram, _ = _killing_gram(S.n, S._flat, S._free)
     oracle = killing_gram_oracle(S)
     s = S.dim
     nonzero = [(t, u) for t in range(s) for u in range(s) if oracle[t][u]]
@@ -161,6 +163,41 @@ def test_killing_signature_is_action_invariant(data):
     g = random_gl(n, rng, det_sign=data.draw(st.sampled_from((1, -1))))
     base = killing_signature(stabilizer_algebra(phi))
     assert killing_signature(stabilizer_algebra(act(g, phi))) == base
+
+
+def _assert_fingerprint_is_generic(phi):
+    # the block formula at rank r against the stabilizer of phi itself
+    S = stabilizer_algebra(phi)
+    generic = Fingerprint(rank_profile(phi), S.dim, killing_signature(S))
+    assert fingerprint(phi) == generic
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fingerprint_block_path_matches_generic(data):
+    n = data.draw(st.integers(2, 7))
+    k = data.draw(st.integers(1, n - 1))
+    r = data.draw(st.integers(k, n - 1))
+    index = st.sets(st.integers(1, r), min_size=k, max_size=k).map(lambda x: tuple(sorted(x)))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+    terms = data.draw(st.dictionaries(index, coeffs, min_size=1, max_size=6))
+    rng = trial_rng(data.draw(st.integers(0, 2**16)), n)
+    g = random_gl(n, rng, det_sign=data.draw(st.sampled_from((1, -1))))
+    phi = act(g, Form(n, k, terms))
+    assert rank(phi) < n
+    _assert_fingerprint_is_generic(phi)
+
+
+def test_fingerprint_block_path_on_degenerate_catalog():
+    for n in range(1, 9):
+        for k in range(1, n):
+            for t, entry in enumerate(catalog_entries(n, k)):
+                rep = entry.representative
+                if rep.is_zero or rank(rep) == n:
+                    continue
+                _assert_fingerprint_is_generic(rep)
+                g = random_gl(n, trial_rng(62, 100 * n + t), det_sign=(-1) ** t)
+                _assert_fingerprint_is_generic(act(g, rep))
 
 
 def test_fingerprint_str():

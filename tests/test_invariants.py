@@ -127,6 +127,24 @@ def test_stabilizer_dimensions_frozen():
     assert not is_stable(e(4, 1, 2))
 
 
+def test_orbit_dimension_matches_stabilizer_on_degenerate_forms():
+    # orbit_dimension and is_stable solve degenerate forms at rank r
+    forms = [e(5, 1), e(4, 1, 2, 3), e(7, 1, 2, 3) + e(7, 1, 4, 5), Form.zero(4, 2)]
+    for trial in range(12):
+        rng = trial_rng(63, trial)
+        n = rng.randint(3, 8)
+        k = rng.randint(1, n - 2)
+        small = random_nonzero_form(rng.randint(k, n - 1), k, 3, rng)
+        g = random_gl(n, rng, det_sign=rng.choice((1, -1)))
+        forms.append(act(g, Form(n, k, dict(small.terms))))
+    for phi in forms:
+        n = phi.n
+        assert rank(phi) < n
+        want = n * n - stabilizer_algebra(phi).dim
+        assert orbit_dimension(phi) == want
+        assert is_stable(phi) is (want == comb(n, phi.k))
+
+
 def test_stabilizer_dimension_is_action_invariant():
     phi = e(6, 1, 2, 3) - e(6, 3, 4, 5) + e(6, 2, 4, 6) - e(6, 1, 5, 6)
     d = stabilizer_algebra(phi).dim

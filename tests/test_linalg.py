@@ -20,6 +20,7 @@ from formlab.linalg import (
 from conftest import (
     det_gauss,
     det_oracle,
+    inertia_oracle,
     nullspace_oracle,
     perm_sign,
     random_int_matrix,
@@ -165,6 +166,23 @@ def test_inertia_known_diagonals():
     assert inertia_fraction([[1, 0, 0], [0, 0, 0], [0, 0, -1]]) == (1, 1, 1)
     # indefinite with zero diagonal: [[0,1],[1,0]] has eigenvalues +-1
     assert inertia_fraction([[0, 1], [1, 0]]) == (1, 1, 0)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_inertia_drops_zero_rows_exactly(data):
+    # a symmetric matrix, with zeros common enough to leave singular blocks,
+    # padded with zero rows and columns at random places
+    m = data.draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), scalar)
+    upper = {(i, j): data.draw(entry) for i in range(m) for j in range(i, m)}
+    sym = [[upper[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+    pads = data.draw(st.lists(st.integers(0, m), max_size=3))
+    order = sorted([(i, 1, i) for i in range(m)] + [(at, 0, None) for at in pads])
+    rows = [row for _, _, row in order]
+    padded = [[0 if a is None or b is None else sym[a][b] for b in rows] for a in rows]
+    p, q, z = inertia_oracle(sym)
+    assert inertia_fraction(padded) == inertia_oracle(padded) == (p, q, z + len(pads))
 
 
 def test_inertia_congruence_invariance(rng):
