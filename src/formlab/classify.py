@@ -581,8 +581,12 @@ def classify_two_form(phi: Form) -> OrbitReport:
     """Complete classification in degree two: the rank decides everything."""
     if phi.k != 2:
         raise DegreeError(f"expected a 2-form, got degree {phi.k}")
+    return _classify_two_form(phi, rank(phi))
+
+
+def _classify_two_form(phi: Form, r: int) -> OrbitReport:
+    """classify_two_form(phi) for a 2-form phi whose rank r is known."""
     n = phi.n
-    r = rank(phi)
     return OrbitReport(
         kind="exact",
         orbit_id=f"two-form:rank={r}",
@@ -606,6 +610,12 @@ def classify_codim_two(phi: Form, omega: VolumeForm | None = None) -> OrbitRepor
         raise DegreeError(f"expected an (n-2)-form with n >= 3, got degree {phi.k} on R^{n}")
     if omega is None:
         omega = VolumeForm(n)
+    return _classify_codim_two(phi, rank(phi), omega)
+
+
+def _classify_codim_two(phi: Form, r: int, omega: VolumeForm) -> OrbitReport:
+    """classify_codim_two(phi, omega) for an (n-2)-form phi whose rank r is known."""
+    n = phi.n
     ls = length_and_sign(phi, omega)
     l, s = ls.length, ls.sign
     coeff = s if 2 * l == n else 1
@@ -615,7 +625,7 @@ def classify_codim_two(phi: Form, omega: VolumeForm | None = None) -> OrbitRepor
         candidates=(),
         n=n,
         k=phi.k,
-        rank=rank(phi),
+        rank=r,
         fingerprint=None,
         length_sign=ls,
         canonical=_martinet_form(n, l, coeff) if l else Form(n, n - 2),
@@ -677,7 +687,14 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
     if base.kind != "unknown" or r == n:
         return base
     if _has_complete_invariant(r, k):
-        sub = classify(red.reduced, VolumeForm(r))
+        # phi_r has full rank r, which decides a 2-form and enters the
+        # (r-2)-form report
+        phi_r = red.reduced
+        sub = (
+            _classify_two_form(phi_r, r)
+            if k == 2
+            else _classify_codim_two(phi_r, r, VolumeForm(r))
+        )
     else:
         # phi_r has full rank, the same profile and the stabilizer whose Gram
         # _fingerprint built, so only its inertia is new.

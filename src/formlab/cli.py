@@ -16,9 +16,9 @@ from typing import Any
 
 from .classify import (
     MAX_DIMENSION,
+    _fingerprint,
     catalog_entries,
     classify,
-    fingerprint,
     sample_orbit_statistics,
 )
 from .docio import (
@@ -42,10 +42,8 @@ from .exterior import (
 )
 from .invariants import (
     _kernel_reflection,
-    kernel_vectors,
     length_and_sign,
     nilpotency_witness_degenerate,
-    rank,
     reduce_form,
 )
 
@@ -199,29 +197,34 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
     out: dict[str, Any] = {"command": "invariants", "input": meta}
     inv: dict[str, Any] = {}
     witnesses: dict[str, Any] = {}
+    phi = _as_form(element, mu, notes)
+    # one degree-1 solve: the reduction the fingerprint used (a zero form's
+    # reduction solves nothing) gives the rank, the kernel and the witness
+    fp, red, _ = _fingerprint(phi)
     if k >= 1:
-        r = rank(element)
+        if red is None:
+            red = reduce_form(phi)
+        # musical is invertible, so phi has the rank of the element
+        r = red.r
         inv["rank"] = r
-        if isinstance(element, Polyvector) and not element.is_zero and r < n:
-            w = nilpotency_witness_degenerate(element)
-            witnesses["nilpotency"] = {
-                "exponents": list(w.exponents),
-                "contraction_rate": w.rate,
-                "basis": _matrix_json(w.basis),
-            }
+        inv["multisymplectic"] = r == n
+        frame = red.frame.entries
+        inv["kernel"] = [
+            element_to_document(Polyvector.from_coords([row[c] for row in frame]))
+            for c in range(r, n)
+        ]
+        inv["reduction"] = {"r": r, "reduced": element_to_document(red.reduced)}
+        if r < n:
+            if isinstance(element, Polyvector) and not element.is_zero:
+                w = nilpotency_witness_degenerate(element)
+                witnesses["nilpotency"] = {
+                    "exponents": list(w.exponents),
+                    "contraction_rate": w.rate,
+                    "basis": _matrix_json(w.basis),
+                }
+            witnesses["orientation_reversing"] = _matrix_json(_kernel_reflection(red.frame, r))
     else:
         inv["rank"] = None
-    phi = _as_form(element, mu, notes)
-    if k >= 1:
-        # musical is invertible, so phi has the rank of the element
-        inv["multisymplectic"] = inv["rank"] == n
-        inv["kernel"] = [element_to_document(v) for v in kernel_vectors(phi)]
-        red = reduce_form(phi)
-        inv["reduction"] = {"r": red.r, "reduced": element_to_document(red.reduced)}
-        if red.r < n:
-            g = _kernel_reflection(red.frame, red.r)
-            witnesses["orientation_reversing"] = _matrix_json(g)
-    fp = fingerprint(phi)
     orbit_dim = n * n - fp.stab_dim
     inv["stabilizer"] = {
         "dim": fp.stab_dim,

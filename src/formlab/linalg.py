@@ -7,14 +7,16 @@ and growth stays polynomial.  Rational input is scaled row by row to integers
 first, which changes neither rank nor nullspace and scales the determinant by
 a known factor.  inertia_fraction and skew_pairs are not solves: they apply
 each operation to rows and columns alike (congruence), which a one-sided row
-reduction cannot reproduce, so they keep their own elimination over Fraction.
-Nothing in this module ever rounds.
+reduction cannot reproduce.  inertia_fraction runs its congruence on integers,
+dividing by the content instead of by pivots; skew_pairs keeps its own
+elimination over Fraction, because the exact det(C) it returns would not
+survive a content division.  Nothing in this module ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -215,56 +217,105 @@ def inverse_fraction(
     return [list(row) for row in zip(*cols)]
 
 
-def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a symmetric rational matrix.
+def _divide_content(M: list[list[int]]) -> None:
+    """Divide the integer matrix M, in place, by the gcd of all its entries."""
+    g = 0
+    for row in M:
+        g = gcd(g, *row)
+        if g == 1:
+            return
+    if g > 1:
+        M[:] = [[x // g for x in row] for row in M]
 
-    Symmetric congruence elimination; when the active diagonal vanishes but an
-    off-diagonal entry a_ij does not, adding row and column j to i produces the
-    diagonal entry 2*a_ij (characteristic zero), after which elimination
-    proceeds.  Congruence preserves inertia, so the count is exact.  Zero rows
-    (and with them, by symmetry, zero columns) are dropped first, each adding
-    one to the zero count, so only the rest is converted to Fraction.  The
-    matrix stays symmetric, so each pivot updates only the rows and columns
-    where its own row is nonzero.
+
+def _inertia_int(M: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia of a symmetric integer matrix, which is consumed.
+
+    Each step takes the first nonzero diagonal entry d, with the rest of its
+    row v, as pivot and replaces the remaining block S by
+    |d| S - sign(d) v v^T, |d| times the Schur complement, then divides it by
+    its content.  A pivot whose row has no other nonzero leaves S as it is.
+    When the diagonal vanishes but some a_ij does not, adding row and column
+    j to i makes the diagonal entry 2 a_ij, exactly, on integers.
     """
-    keep = [i for i, row in enumerate(sym) if any(row)]
-    dropped = len(sym) - len(keep)
-    S = [[as_fraction(sym[i][j]) for j in keep] for i in keep]
-    active = list(range(len(keep)))
+    _divide_content(M)
     p = q = 0
-    while active:
-        piv = next((i for i in active if S[i][i]), None)
-        if piv is None:
-            pair = None
-            for ai, i in enumerate(active):
-                for j in active[ai + 1 :]:
-                    if S[i][j]:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+    while M:
+        k = next((i for i, row in enumerate(M) if row[i]), -1)
+        if k < 0:
+            a = len(M)
+            pair = next(((i, j) for i in range(a) for j in range(i + 1, a) if M[i][j]), None)
             if pair is None:
-                return p, q, len(active) + dropped
+                return p, q, a
             i, j = pair
-            for c in active:
-                S[i][c] += S[j][c]
-            for r in active:
-                S[r][i] += S[r][j]
-            piv = i
-        d = S[piv][piv]
+            M[i] = [x + y for x, y in zip(M[i], M[j])]
+            for row in M:
+                row[i] += row[j]
+            k = i
+        v = M.pop(k)
+        for row in M:
+            del row[k]
+        d = v.pop(k)
         if d > 0:
             p += 1
         else:
             q += 1
-        active.remove(piv)
-        Sp = S[piv]
-        support = [c for c in active if Sp[c]]
-        for r in support:
-            f = Sp[r] / d
-            Sr = S[r]
-            for c in support:
-                Sr[c] -= f * Sp[c]
-    return p, q, dropped
+        if not any(v):
+            continue
+        ad = abs(d)
+        sv = v if d > 0 else [-x for x in v]
+        for r, f in enumerate(v):
+            if f:
+                M[r] = [ad * x - f * y for x, y in zip(M[r], sv)]
+            elif ad != 1:
+                M[r] = [ad * x for x in M[r]]
+        _divide_content(M)
+    return p, q, 0
+
+
+def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of a symmetric rational matrix.
+
+    By Sylvester's law of inertia, a congruence followed by a positive
+    scaling keeps (p, q, z), so the whole count runs on Python ints:
+
+    * the matrix is scaled once by the lcm of all its denominators (one
+      positive factor; scaling each row by its own factor, as to_int_rows
+      does, is no congruence);
+    * a simultaneous permutation of rows and columns splits it into the
+      connected components of its nonzero pattern, a block diagonal matrix
+      whose inertia is the sum over the blocks, and elimination never couples
+      two components.  A zero row is a component of its own and counts one
+      zero;
+    * each block is eliminated on integers by _inertia_int.
+
+    Content division keeps the entries no larger than in fraction-free
+    (Bareiss) elimination with the same pivots.  After t steps, Bareiss holds
+    B_t = D_t S_t, where S_t is the rational Schur complement and D_t a t x t
+    minor, and B_t is integral; the block here is the primitive M_t = c_t S_t
+    with c_t > 0, so D_t / c_t is an integer and |M_t| <= |B_t| entrywise.
+    """
+    M = sym
+    if not all(_INT_ONLY.issuperset(map(type, row)) for row in sym):
+        l = lcm(*map(_row_lcm, sym))
+        M = [[x.numerator * (l // x.denominator) for x in row] for row in sym]
+    n = len(M)
+    seen = [False] * n
+    p = q = z = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for i in comp:
+            for j, x in enumerate(M[i]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        comp.sort()
+        dp, dq, dz = _inertia_int([[M[i][j] for j in comp] for i in comp])
+        p, q, z = p + dp, q + dq, z + dz
+    return p, q, z
 
 
 def skew_pairs(

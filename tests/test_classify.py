@@ -10,6 +10,7 @@ from formlab import (
     Fingerprint,
     Form,
     FormError,
+    LinMap,
     VolumeForm,
     act,
     catalog_entries,
@@ -33,7 +34,7 @@ from formlab.classify import (
 )
 from formlab.sampling import random_form, random_gl, trial_rng
 
-from conftest import killing_gram_oracle
+from conftest import killing_gram_oracle, random_int_matrix
 
 
 def e(n, *idx):
@@ -68,6 +69,22 @@ def test_killing_frozen_small_algebras():
     assert killing_signature(stabilizer_algebra(e(2, 1, 2))) == (2, 1, 0)
     # stabilizer of a symplectic form on R^4 is sp(4): (6, 4, 0)
     assert killing_signature(stabilizer_algebra(e(4, 1, 2) + e(4, 3, 4))) == (6, 4, 0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_killing_symplectic_closed_form_on_moved_forms(m, rng):
+    # a full-rank 2-form on R^{2m} moved by a random integer g (not unimodular)
+    # has stabilizer sp(2m, R), Killing signature (m(m+1), m^2, 0); its Gram is
+    # dense, with entries of up to 250 bits at m = 4 (s = 36)
+    n = 2 * m
+    phi = sum((e(n, 2 * i - 1, 2 * i) for i in range(2, m + 1)), e(n, 1, 2))
+    while True:
+        g = LinMap(random_int_matrix(rng, n, n, bound=3))
+        if g.det:
+            break
+    S = stabilizer_algebra(act(g, phi))
+    assert S.dim == m * (2 * m + 1)
+    assert killing_signature(S) == (m * (m + 1), m * m, 0)
 
 
 @pytest.mark.parametrize("n,expected", [(2, (2, 1, 1)), (3, (5, 3, 1))])

@@ -185,6 +185,38 @@ def test_inertia_drops_zero_rows_exactly(data):
     assert inertia_fraction(padded) == inertia_oracle(padded) == (p, q, z + len(pads))
 
 
+wide = st.integers(-(2**300), 2**300)
+wide_rational = st.builds(
+    Fraction, st.one_of(small_int, wide), st.sampled_from((1, 2, 3, 4, 9, 35, 2**61 - 1))
+)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_inertia_integer_kernel_matches_oracle(data):
+    # wide rationals with mixed denominators, so one common scale and the
+    # content division are exercised; a hollow set of indices has a zero
+    # diagonal (all of it, when every index is hollow, which starts the
+    # elimination on an off-diagonal pivot), optionally with a zero block
+    # among them; chosen rows and columns are zeroed
+    m = data.draw(st.integers(0, 7))
+    hollow = data.draw(st.sets(st.integers(0, m - 1))) if m else set()
+    zero_block = data.draw(st.booleans())
+    zero_rows = data.draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else set()
+    entry = st.one_of(st.just(0), wide_rational)
+    upper = {}
+    for i in range(m):
+        for j in range(i, m):
+            if i in zero_rows or j in zero_rows:
+                upper[i, j] = 0
+            elif i in hollow and j in hollow and (i == j or zero_block):
+                upper[i, j] = 0
+            else:
+                upper[i, j] = data.draw(entry)
+    sym = [[upper[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+    assert inertia_fraction(sym) == inertia_oracle(sym)
+
+
 def test_inertia_congruence_invariance(rng):
     # inertia(P A P^T) == inertia(A) for invertible P
     diag = [[3, 0, 0], [0, -2, 0], [0, 0, 0]]
