@@ -118,10 +118,7 @@ def _load_element(args: argparse.Namespace):
         omega = VolumeForm(element.n, volume)
     mu = None
     if metric_rows is not None:
-        try:
-            mu = InnerProduct(metric_rows)
-        except FormError as exc:
-            raise DomainError(str(exc)) from exc
+        mu = InnerProduct(metric_rows)
     meta = {
         "sha256": digest,
         "n": element.n,
@@ -278,10 +275,7 @@ def cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_catalog(args: argparse.Namespace) -> dict[str, Any]:
-    try:
-        entries = catalog_entries(args.n, args.k)
-    except FormError as exc:
-        raise DomainError(str(exc)) from exc
+    entries = catalog_entries(args.n, args.k)
     rows = [
         {
             "name": e.name,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Scalar, as_fraction, det_fraction, inverse_fraction
+from .linalg import Scalar, as_fraction, det_fraction, inertia_fraction, inverse_fraction
 
 Rat = Fraction
 MultiIndex = tuple[int, ...]
@@ -450,10 +450,10 @@ class InnerProduct:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise FormError("inner product matrix must be symmetric")
-        # Sylvester criterion: every leading principal minor positive.
-        for m in range(1, n + 1):
-            if det_fraction([row[:m] for row in rows[:m]]) <= 0:
-                raise FormError("inner product matrix must be positive definite")
+        # Sylvester's law of inertia: positive definite means n positive
+        # squares in any congruent diagonal form.
+        if inertia_fraction(rows) != (n, 0, 0):
+            raise FormError("inner product matrix must be positive definite")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", rows)
 

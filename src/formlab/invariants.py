@@ -29,7 +29,6 @@ from .exterior import (
 from .linalg import (
     Scalar,
     nullspace_rows,
-    parity_sign,
     rank_rows,
     skew_pairs,
 )
@@ -291,12 +290,13 @@ def is_stable(phi: Form) -> bool:
 class LengthSign:
     """Martinet data of a codimension-two form.
 
-    length is half the rank of the dual bivector.  lam is the coefficient
+    length is half the rank of the dual bivector xi.  lam is the coefficient
     class of the canonical form, defined only at maximal length 2l = n, where
-    it is +1 or -1 and invariant under orientation-preserving changes of
-    basis.  sign = lam^length there; it is invariant under all of GL and,
-    together with length, decides the orbit.  The zero form reports (0, None, 0),
-    and sign is 1 whenever 0 < 2*length < n.
+    it is the sign of scale * Pf(xi), +1 or -1, and invariant under
+    orientation-preserving changes of basis.  sign = lam^length there; it is
+    invariant under all of GL and, together with length, decides the orbit.
+    The zero form reports (0, None, 0), and sign is 1 whenever
+    0 < 2*length < n.
     """
 
     length: int
@@ -314,23 +314,23 @@ def _bivector_matrix(xi: Polyvector) -> list[list[Fraction]]:
 
 
 def length_and_sign(phi: Form, omega: VolumeForm) -> LengthSign:
+    """Martinet length and sign of an (n-2)-form from its dual bivector xi.
+
+    skew_pairs gives half the rank of xi and the sign of its Pfaffian.
+    """
     if phi.k != phi.n - 2:
         raise DegreeError(f"degree {phi.k} is not {phi.n} - 2")
     if phi.is_zero:
         return LengthSign(0, None, 0)
     xi = poincare_inv(omega, phi)
-    pairs, det_c = skew_pairs(_bivector_matrix(xi))
-    l = len(pairs)
+    l, pf = skew_pairs(_bivector_matrix(xi))
     if 2 * l < phi.n:
         return LengthSign(l, None, 1)
-    # Maximal length: the pair positions exhaust 1..n.  Reordering them into
-    # leading position is a permutation whose sign, with the accumulated
-    # congruence determinant, fixes the coefficient class exactly: Sp(n, Q)
-    # has determinant one, so no basis choice can disturb it.
-    flat = [i + 1 for pair in pairs for i in pair]
-    det_p = parity_sign(flat)
-    lam_exact = omega.scale / (det_p * det_c)
-    lam = Fraction(1 if lam_exact > 0 else -1)
+    # Maximal length: a congruence C taking S to e_12 + ... + e_{n-1,n} has
+    # det(C) Pf(S) = 1, because Pf(C S C^T) = det(C) Pf(S).  So the exact
+    # coefficient class scale / det(C) is scale * Pf(S); Sp(n, Q) has
+    # determinant one, so no basis choice can disturb its sign.
+    lam = Fraction(1 if pf * omega.scale > 0 else -1)
     sign = int(lam) if l % 2 else 1
     return LengthSign(l, lam, sign)
 

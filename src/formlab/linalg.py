@@ -7,10 +7,11 @@ and growth stays polynomial.  Rational input is scaled row by row to integers
 first, which changes neither rank nor nullspace and scales the determinant by
 a known factor.  inertia_fraction and skew_pairs are not solves: they apply
 each operation to rows and columns alike (congruence), which a one-sided row
-reduction cannot reproduce.  inertia_fraction runs its congruence on integers,
-dividing by the content instead of by pivots; skew_pairs keeps its own
-elimination over Fraction, because the exact det(C) it returns would not
-survive a content division.  Nothing in this module ever rounds.
+reduction cannot reproduce.  Both scale the whole matrix once to integers and
+divide each Schur complement by its content instead of by pivots: what they
+return (the inertia, the rank and the sign of the Pfaffian) survives a
+positive scaling.  No elimination here runs on Fraction, and nothing in this
+module ever rounds.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def row_echelon_int(
                 for j in range(pc + 1, ncols):
                     row[j] = (p * row[j] - f * piv_row[j]) // prev
                 row[pc] = 0
-            elif prev != 1 or p != 1:
+            elif p != prev:
                 for j in range(pc + 1, ncols):
                     row[j] = (p * row[j]) // prev
         prev = p
@@ -217,6 +218,17 @@ def inverse_fraction(
     return [list(row) for row in zip(*cols)]
 
 
+def _scale_to_int(mat: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[int]]:
+    """mat times the lcm of all its denominators: one positive factor for the
+    whole matrix, so a congruence stays a congruence, which the per-row
+    scaling of to_int_rows does not.  An all-int matrix is returned as it is.
+    """
+    if all(_INT_ONLY.issuperset(map(type, row)) for row in mat):
+        return mat
+    l = lcm(*map(_row_lcm, mat))
+    return [[x.numerator * (l // x.denominator) for x in row] for row in mat]
+
+
 def _divide_content(M: list[list[int]]) -> None:
     """Divide the integer matrix M, in place, by the gcd of all its entries."""
     g = 0
@@ -279,9 +291,7 @@ def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
     By Sylvester's law of inertia, a congruence followed by a positive
     scaling keeps (p, q, z), so the whole count runs on Python ints:
 
-    * the matrix is scaled once by the lcm of all its denominators (one
-      positive factor; scaling each row by its own factor, as to_int_rows
-      does, is no congruence);
+    * the matrix is scaled once to integers by _scale_to_int;
     * a simultaneous permutation of rows and columns splits it into the
       connected components of its nonzero pattern, a block diagonal matrix
       whose inertia is the sum over the blocks, and elimination never couples
@@ -295,10 +305,7 @@ def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
     minor, and B_t is integral; the block here is the primitive M_t = c_t S_t
     with c_t > 0, so D_t / c_t is an integer and |M_t| <= |B_t| entrywise.
     """
-    M = sym
-    if not all(_INT_ONLY.issuperset(map(type, row)) for row in sym):
-        l = lcm(*map(_row_lcm, sym))
-        M = [[x.numerator * (l // x.denominator) for x in row] for row in sym]
+    M = _scale_to_int(sym)
     n = len(M)
     seen = [False] * n
     p = q = z = 0
@@ -318,51 +325,48 @@ def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
     return p, q, z
 
 
-def skew_pairs(
-    skew: Sequence[Sequence[Scalar]],
-) -> tuple[list[tuple[int, int]], Fraction]:
-    """Normalize a skew-symmetric matrix by congruence.
+def skew_pairs(skew: Sequence[Sequence[Scalar]]) -> tuple[int, int]:
+    """Half the rank of a skew-symmetric rational matrix and the sign of its
+    Pfaffian: (l, s) with 2l = rank, s = sign Pf(S) at full rank, else s = 0.
 
-    Returns (pairs, det_c) where the accumulated row operations C satisfy
-    C S C^T = sum over pairs (i, j) of (E_ij - E_ji) and det_c = det(C).
-    The number of pairs is half the rank of S.
+    A congruence multiplies Pf by det(C) and a positive scaling t of an
+    m x m matrix multiplies it by t^(m/2), so the sign survives the integer
+    elimination, as the inertia does in inertia_fraction (2x2 pivots,
+    Bunch 1982).  The matrix is scaled once to integers by _scale_to_int.
+    Each step takes the first nonzero a = S_ij, i < j; moving rows and
+    columns i, j to the front costs (-1)^(i+j-1), Pf of the leading block is
+    a, and the rest R becomes |a| R + sign(a) (b_j b_i^T - b_i b_j^T), |a|
+    times its Schur complement, where b_i, b_j are rows i, j off the block.
+    Each new block is divided by its content.  The empty matrix has Pf 1.
     """
-    m = len(skew)
-    S = [[as_fraction(x) for x in row] for row in skew]
-    active = list(range(m))
-    pairs: list[tuple[int, int]] = []
-    det_c = Fraction(1)
-    while True:
-        found = None
-        for ai, i in enumerate(active):
-            for j in active[ai + 1 :]:
-                if S[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            return pairs, det_c
-        i, j = found
-        pvt = S[i][j]
-        if pvt != 1:
-            for c in range(m):
-                S[j][c] /= pvt
-            for r in range(m):
-                S[r][j] /= pvt
-            det_c /= pvt
-        rest = [r for r in active if r != i and r != j]
-        for r in rest:
-            a, b = S[r][i], S[r][j]
-            if a or b:
-                Si, Sj, Sr = S[i], S[j], S[r]
-                for c in range(m):
-                    Sr[c] = Sr[c] - b * Si[c] + a * Sj[c]
-                for rr in range(m):
-                    row = S[rr]
-                    row[r] = row[r] - b * row[i] + a * row[j]
-        active = rest
-        pairs.append((i, j))
+    S = [list(row) for row in _scale_to_int(skew)]
+    _divide_content(S)
+    pairs = 0
+    sign = 1
+    while S:
+        m = len(S)
+        pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if S[i][j]), None)
+        if pair is None:
+            return pairs, 0
+        i, j = pair
+        a = S[i][j]
+        if (i + j) % 2 == 0:
+            sign = -sign
+        bj = S.pop(j)
+        bi = S.pop(i)
+        for row in (bi, bj, *S):
+            del row[j], row[i]
+        if a < 0:
+            sign = -sign
+            bi = [-x for x in bi]
+        a = abs(a)
+        S = [
+            [a * x + f * u - g * v for x, u, v in zip(row, bi, bj)]
+            for row, f, g in zip(S, bj, bi)
+        ]
+        _divide_content(S)
+        pairs += 1
+    return pairs, sign
 
 
 def parity_sign(seq: Sequence[int]) -> int:

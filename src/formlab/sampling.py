@@ -45,21 +45,16 @@ def random_nonzero_form(n: int, k: int, bound: int, rng: random.Random) -> Form:
             return phi
 
 
-def random_gl(
-    n: int, rng: random.Random, det_sign: int = 1, steps: int | None = None
-) -> LinMap:
+def random_gl(n: int, rng: random.Random, det_sign: int = 1) -> LinMap:
     """Integer matrix with determinant exactly +1 or -1.
 
-    Built from `steps` random shear operations followed by a row permutation;
-    a final row negation fixes the requested sign.  Entries stay small for
-    the default step count.
+    Built from 2n random shear operations followed by a row permutation;
+    a final row negation fixes the requested sign.  Entries stay small.
     """
     if det_sign not in (1, -1):
         raise ValueError("det_sign must be +1 or -1")
-    if steps is None:
-        steps = 2 * n
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:

@@ -37,6 +37,22 @@ def det_oracle(mat) -> Fraction:
     return total
 
 
+def pfaffian_oracle(skew) -> Fraction:
+    """Pfaffian by expansion along the first row; 0 for odd size, 1 for empty."""
+    m = len(skew)
+    if m % 2:
+        return Fraction(0)
+    if m == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(1, m):
+        if skew[0][j]:
+            rest = [c for c in range(1, m) if c != j]
+            minor = [[skew[a][b] for b in rest] for a in rest]
+            total += (-1) ** (j - 1) * Fraction(skew[0][j]) * pfaffian_oracle(minor)
+    return total
+
+
 def rref(rows, ncols):
     """Textbook Gauss-Jordan over Fraction: (reduced rows, pivot columns)."""
     mat = [[Fraction(x) for x in row] for row in rows]

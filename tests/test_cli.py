@@ -327,6 +327,30 @@ def test_metric_file_of_wrong_size_exits_2(tmp_path, capsys, command):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        ([[1, 2], [2, 1]], "positive definite"),
+        ([[0, 0], [0, 1]], "positive definite"),
+        ([[2, 1], [0, 2]], "symmetric"),
+    ],
+    ids=["indefinite", "singular", "asymmetric"],
+)
+def test_invalid_metric_exits_3(tmp_path, capsys, command, matrix, message):
+    # a well-formed matrix that is no inner product is a domain error, from a
+    # --metric file and from the document's own metric field alike
+    doc = {"n": 2, "k": 1, "variance": "vector", "terms": [{"idx": [1], "num": 1}]}
+    mat = write_doc(tmp_path, matrix, "m.json")
+    for argv in (
+        [command, write_doc(tmp_path, doc), "--metric", mat],
+        [command, write_doc(tmp_path, {**doc, "metric": matrix}, "with_metric.json")],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: inner product matrix must be {message}\n"
+
+
 def test_text_reports_frozen(tmp_path, capsys):
     vec = {
         "n": 5,

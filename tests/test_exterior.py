@@ -9,6 +9,7 @@ from formlab import (
     DegreeError,
     DimensionMismatch,
     Form,
+    FormError,
     InnerProduct,
     LinMap,
     OrientationError,
@@ -159,6 +160,27 @@ def test_volume_and_inner_product_validation():
         InnerProduct([[1, 2], [2, 1]])  # not positive definite
     assert InnerProduct.identity(3).is_identity
     assert not InnerProduct([[2, 0], [0, 1]]).is_identity
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_inner_product_accepts_exactly_the_positive_definite(data):
+    # a symmetric rational matrix whose diagonal is shifted by a drawn amount,
+    # so both verdicts are common; the oracle is Sylvester's criterion, every
+    # leading principal minor positive
+    m = data.draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    shift = data.draw(st.integers(-2, 30))
+    upper = {(i, j): data.draw(entry) for i in range(m) for j in range(i, m)}
+    sym = [
+        [upper[min(i, j), max(i, j)] + shift * (i == j) for j in range(m)] for i in range(m)
+    ]
+    definite = all(det_oracle([row[:t] for row in sym[:t]]) > 0 for t in range(1, m + 1))
+    if definite:
+        assert InnerProduct(sym).matrix == tuple(map(tuple, sym))
+    else:
+        with pytest.raises(FormError, match="positive definite"):
+            InnerProduct(sym)
 
 
 def test_linmap_basics():

@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab import (
     DegreeError,
@@ -25,6 +27,7 @@ from formlab import (
     orbit_dimension,
     orientation_reversing_stabilizer_witness,
     poincare,
+    poincare_inv,
     rank,
     rank_profile,
     reduce_form,
@@ -33,7 +36,7 @@ from formlab import (
 )
 from formlab.sampling import random_gl, random_nonzero_form, trial_rng
 
-from conftest import nullspace_oracle, rref_rank
+from conftest import nullspace_oracle, pfaffian_oracle, rref_rank
 
 
 def e(n, *idx):
@@ -227,6 +230,39 @@ def test_length_and_sign_frozen():
     assert (ls.length, ls.lam, ls.sign) == (0, None, 0)
     with pytest.raises(DegreeError):
         length_and_sign(e(4, 1, 2, 3), om4)
+
+
+rational = st.builds(
+    Fraction, st.integers(-(2**64), 2**64), st.sampled_from((1, 2, 3, 7, 2**61 - 1))
+)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_length_and_sign_reads_the_pfaffian(data):
+    # random rational (n-2)-forms and volumes: length is half the rank of the
+    # dual bivector xi, and at maximal length lam is the sign of scale * Pf(xi)
+    n = data.draw(st.sampled_from((4, 6, 8)))
+    terms = {
+        idx: data.draw(st.one_of(st.just(0), rational))
+        for idx in combinations(range(1, n + 1), n - 2)
+    }
+    phi = Form(n, n - 2, terms)
+    scale = data.draw(rational.filter(bool))
+    omega = VolumeForm(n, scale)
+    ls = length_and_sign(phi, omega)
+    xi = poincare_inv(omega, phi)
+    S = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in xi.terms.items():
+        S[i - 1][j - 1], S[j - 1][i - 1] = c, -c
+    assert 2 * ls.length == rref_rank(S, n)
+    if phi.is_zero:
+        assert (ls.lam, ls.sign) == (None, 0)
+    elif 2 * ls.length < n:
+        assert (ls.lam, ls.sign) == (None, 1)
+    else:
+        lam = 1 if scale * pfaffian_oracle(S) > 0 else -1
+        assert (ls.lam, ls.sign) == (lam, lam if ls.length % 2 else 1)
 
 
 def test_volume_rescaling_law():
