@@ -758,6 +758,17 @@ def _catalog_verdict(phi: Form, r: int, fp: Fingerprint) -> OrbitReport:
             components=1 if r < n else shared,
             notes=("fingerprint matches several catalog entries",),
         )
+    if k == n and not catalog_entries(n, n):
+        # GL(n) acts on the top degree by det^-1, so every nonzero n-form lies
+        # in the orbit of e^{1...n}, which the catalog lists only up to n = 8
+        return replace(
+            base,
+            kind="exact",
+            orbit_id="catalog:decomposable",
+            canonical=_block_form(n, n, 1),
+            components=2,
+            notes=("GL(n) acts on n-forms by det^-1: all nonzero n-forms lie in one orbit",),
+        )
     if r == n:
         return replace(
             base, notes=("no catalog match at full rank; invariants reported as computed",)

@@ -15,6 +15,11 @@ Conventions, fixed once and used everywhere:
   act(g1, act(g2, phi)) == act(g1 @ g2, phi).  On polyvectors the action is
   the direct image (g applied to every slot).
 
+Every action is one substitution kernel, _substitute, which replaces each
+basis covector by a row of the matrix.  It runs on Python ints: the
+coefficients and the matrix are scaled once to integers, and each output
+coefficient is divided once at the end by the common scale.
+
 All arithmetic is exact; nothing here ever rounds.
 """
 
@@ -22,10 +27,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Scalar, as_fraction, det_fraction, inertia_fraction, inverse_fraction
+from .linalg import (
+    Scalar,
+    _scale_to_int,
+    as_fraction,
+    det_fraction,
+    inertia_fraction,
+    inverse_fraction,
+)
 
 Rat = Fraction
 MultiIndex = tuple[int, ...]
@@ -556,16 +569,30 @@ def multi_interior(X: Polyvector, phi: Form) -> Form:
 def _substitute(terms, rows, n: int) -> dict[MultiIndex, Fraction]:
     """Replace every e^i by sum_j rows[i-1][j-1] e^j in a sparse alternating tensor.
 
+    The work runs on Python ints: the coefficients are scaled by the lcm D of
+    their denominators and all rows by one common lcm d, so every output term
+    of degree k carries the same factor D * d^k, divided out once at the end.
     Old index i is renamed to n + i, which sorts after every new index, and
     these are substituted largest first, so the one replaced is always the
     last slot: inserting j at position p of the other m slots gives the sign
     (-1)^(m - p), and a j already present gives zero.
     """
-    out = {tuple(n + i for i in idx): c for idx, c in terms.items()}
+    if not terms:
+        return {}
+    # Tuples here are built from sets and lists, not generators: a tuple
+    # grown from a generator is freed into the interpreter's free list of
+    # another size, which fills up and holds memory on integer workloads,
+    # where the cyclic collector that would empty it seldom runs.
+    D = lcm(*{c.denominator for c in terms.values()})
+    out = {
+        tuple([n + i for i in idx]): c.numerator * (D // c.denominator)
+        for idx, c in terms.items()
+    }
+    int_rows, d = _scale_to_int(rows)
     for i in range(n, 0, -1):
         fresh = n + i
         hits = [idx for idx in out if idx and idx[-1] == fresh]
-        row = [(j, x) for j, x in enumerate(rows[i - 1], 1) if x]
+        row = [(j, x) for j, x in enumerate(int_rows[i - 1], 1) if x]
         for idx in hits:
             c = out.pop(idx)
             rest = idx[:-1]
@@ -580,7 +607,8 @@ def _substitute(terms, rows, n: int) -> dict[MultiIndex, Fraction]:
                     out[tgt] = acc
                 else:
                     out.pop(tgt, None)
-    return out
+    div = D * d ** len(next(iter(terms)))
+    return {idx: Fraction(c, div) for idx, c in out.items()}
 
 
 def act(g: LinMap, phi: Form) -> Form:

@@ -58,7 +58,7 @@ def _integer_terms(t) -> list[tuple[MultiIndex, int]]:
     A common positive scale moves neither the rank nor the kernel of a linear
     system built from the coefficients, so the builders below work on these.
     """
-    scale = lcm(*(c.denominator for c in t.terms.values()))
+    scale = lcm(*{c.denominator for c in t.terms.values()})
     return [(idx, c.numerator * (scale // c.denominator)) for idx, c in t.terms.items()]
 
 

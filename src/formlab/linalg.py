@@ -218,15 +218,19 @@ def inverse_fraction(
     return [list(row) for row in zip(*cols)]
 
 
-def _scale_to_int(mat: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[int]]:
-    """mat times the lcm of all its denominators: one positive factor for the
-    whole matrix, so a congruence stays a congruence, which the per-row
-    scaling of to_int_rows does not.  An all-int matrix is returned as it is.
+def _scale_to_int(
+    mat: Sequence[Sequence[Scalar]],
+) -> tuple[Sequence[Sequence[int]], int]:
+    """(l * mat, l) for l the lcm of all denominators of mat: one positive
+    factor for the whole matrix, so a congruence stays a congruence and every
+    product of k entries carries the same l^k, which the per-row scaling of
+    to_int_rows does not give.  An all-int matrix is returned as it is, with
+    l = 1.
     """
     if all(_INT_ONLY.issuperset(map(type, row)) for row in mat):
-        return mat
-    l = lcm(*map(_row_lcm, mat))
-    return [[x.numerator * (l // x.denominator) for x in row] for row in mat]
+        return mat, 1
+    l = lcm(*[_row_lcm(row) for row in mat])
+    return [[x.numerator * (l // x.denominator) for x in row] for row in mat], l
 
 
 def _divide_content(M: list[list[int]]) -> None:
@@ -305,7 +309,7 @@ def inertia_fraction(sym: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
     minor, and B_t is integral; the block here is the primitive M_t = c_t S_t
     with c_t > 0, so D_t / c_t is an integer and |M_t| <= |B_t| entrywise.
     """
-    M = _scale_to_int(sym)
+    M, _ = _scale_to_int(sym)
     n = len(M)
     seen = [False] * n
     p = q = z = 0
@@ -339,7 +343,7 @@ def skew_pairs(skew: Sequence[Sequence[Scalar]]) -> tuple[int, int]:
     times its Schur complement, where b_i, b_j are rows i, j off the block.
     Each new block is divided by its content.  The empty matrix has Pf 1.
     """
-    S = [list(row) for row in _scale_to_int(skew)]
+    S = [list(row) for row in _scale_to_int(skew)[0]]
     _divide_content(S)
     pairs = 0
     sign = 1

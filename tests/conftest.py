@@ -5,6 +5,7 @@ Gaussian elimination over Fraction) so that agreement with the fast paths
 in the package is meaningful evidence.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import permutations
 
@@ -51,6 +52,36 @@ def pfaffian_oracle(skew) -> Fraction:
             minor = [[skew[a][b] for b in rest] for a in rest]
             total += (-1) ** (j - 1) * Fraction(skew[0][j]) * pfaffian_oracle(minor)
     return total
+
+
+def substitute_oracle(terms, rows, n):
+    """Replace every e^i by sum_j rows[i-1][j-1] e^j, on Fraction throughout.
+
+    The reference for exterior._substitute: the same largest-slot-first loop,
+    with every product and sum taken on Fraction.  Old index i is renamed to
+    n + i and always sits in the last slot when it is replaced, so inserting
+    j at position p of the other m slots gives the sign (-1)^(m - p).
+    """
+    out = {tuple(n + i for i in idx): Fraction(c) for idx, c in terms.items()}
+    for i in range(n, 0, -1):
+        fresh = n + i
+        hits = [idx for idx in out if idx and idx[-1] == fresh]
+        row = [(j, Fraction(x)) for j, x in enumerate(rows[i - 1], 1) if x]
+        for idx in hits:
+            c = out.pop(idx)
+            rest = idx[:-1]
+            m = len(rest)
+            for j, x in row:
+                p = bisect_left(rest, j)
+                if p < m and rest[p] == j:
+                    continue
+                tgt = rest[:p] + (j,) + rest[p:]
+                acc = out.get(tgt, 0) + (-c * x if (m - p) % 2 else c * x)
+                if acc:
+                    out[tgt] = acc
+                else:
+                    out.pop(tgt, None)
+    return out
 
 
 def rref(rows, ncols):

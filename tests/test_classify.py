@@ -387,6 +387,40 @@ def test_classify_unknown_paths():
     assert rep8.components == 1
 
 
+@pytest.mark.parametrize("n,r", [(9, 9), (10, 10), (11, 11), (10, 9), (11, 10)])
+def test_classify_top_degree_beyond_catalog(n, r):
+    # GL(r) acts on r-forms by det^-1, so a nonzero r-form of rank r lies in
+    # the orbit of e^{1...r} although the catalog stops at n = 8
+    rep = classify(Form(n, r, {tuple(range(1, r + 1)): Fraction(-3, 7)}))
+    assert rep.kind == "exact"
+    assert rep.orbit_id == ("" if r == n else f"rank{r}:") + "catalog:decomposable"
+    assert rep.canonical == e(n, *range(1, r + 1))
+    assert rep.components == (2 if r == n else 1)
+    assert rep.rank == r
+    assert rep.fingerprint is not None
+    assert rep.open
+
+
+def test_classify_top_degree_in_catalog_unchanged():
+    # up to n = 8 the catalog entry decides, with its own notes
+    for n in range(3, 9):
+        rep = classify(Form(n, n, {tuple(range(1, n + 1)): 5}))
+        assert (rep.kind, rep.orbit_id, rep.components, rep.open) == (
+            "exact",
+            "catalog:decomposable",
+            2,
+            True,
+        )
+        assert rep.canonical == e(n, *range(1, n + 1))
+        assert rep.notes == (
+            "sum of 1 disjoint decomposable blocks",
+            "matched catalog entry [derived]",
+        )
+    rep = classify(Form(9, 8, {tuple(range(1, 9)): 5}))
+    assert rep.orbit_id == "rank8:catalog:decomposable"
+    assert rep.components == 1
+
+
 def test_classify_rejects_uncovered_dimension_before_invariants(monkeypatch):
     def no_stabilizer(phi):
         raise AssertionError("stabilizer computed for a form outside the catalog's range")

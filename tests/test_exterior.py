@@ -28,11 +28,19 @@ from formlab import (
     twisted_act,
     wedge,
 )
-from formlab.exterior import contract_sign, normalize_index
+from formlab.exterior import _substitute, contract_sign, normalize_index
 
-from conftest import det_oracle, evaluate_form, pairing, perm_sign, random_int_matrix
+from conftest import (
+    det_oracle,
+    evaluate_form,
+    pairing,
+    perm_sign,
+    random_int_matrix,
+    substitute_oracle,
+)
 
 coeffs = st.integers(-9, 9).filter(bool)
+rational_coeffs = st.fractions(-9, 9, max_denominator=7).filter(bool)
 
 
 def index_tuples(n, k):
@@ -280,7 +288,7 @@ def test_pullback_evaluation_semantics(data):
     n = data.draw(st.integers(0, 6))
     k = data.draw(st.integers(0, n))
     idxs = list(combinations(range(1, n + 1), k))
-    terms = data.draw(st.dictionaries(st.sampled_from(idxs), coeffs, max_size=4))
+    terms = data.draw(st.dictionaries(st.sampled_from(idxs), rational_coeffs, max_size=4))
     phi = Form(n, k, terms)
     entry = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=3))
     row = st.lists(entry, min_size=n, max_size=n)
@@ -289,6 +297,31 @@ def test_pullback_evaluation_semantics(data):
     back = pullback(m, phi)
     mid = [[sum(m.entries[i][j] * v[j] for j in range(n)) for i in range(n)] for v in vs]
     assert evaluate_form(back, vs) == evaluate_form(phi, mid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_fraction_oracle(data):
+    # the integer kernel, with its one division by D * d^k, against the same
+    # loop on Fraction: coefficients with denominators up to 7 and rows whose
+    # denominators differ from row to row, some zeroed or made dependent
+    n = data.draw(st.integers(0, 7))
+    k = data.draw(st.integers(0, n))
+    idxs = list(combinations(range(1, n + 1), k))
+    terms = data.draw(st.dictionaries(st.sampled_from(idxs), rational_coeffs, max_size=5))
+    rows = []
+    for _ in range(n):
+        den = data.draw(st.integers(1, 7))
+        entry = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=den))
+        rows.append(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    if n:
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            rows[i] = [0] * n
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in data.draw(st.lists(pairs, max_size=2)):
+            q = data.draw(st.fractions(-3, 3, max_denominator=5))
+            rows[i] = [q * x for x in rows[j]]
+    assert _substitute(terms, rows, n) == substitute_oracle(terms, rows, n)
 
 
 @settings(max_examples=30, deadline=None)
