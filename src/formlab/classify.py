@@ -1,16 +1,20 @@
 """Orbit verdicts, fingerprints, and the catalog of canonical forms.
 
-Complete classifications exist in two regimes: 2-forms (rank decides) and
-codimension-two forms (length and sign decide).  Everywhere else the verdict
-rests on a fingerprint of exact numerical invariants matched against a small
-catalog of canonical representatives, with reduction to the support dimension
-tried first; forms the catalog cannot settle come back `unknown` with their
-invariants still reported.
+classify dispatches strongest invariant first.  A 0-form is its own orbit.
+2-forms and (n-2)-forms have complete invariants, one function each:
+classify_two_form reads the rank, classify_codim_two Martinet's length and
+sign, which also give the rank.  The zero form is a fixed point.  Any other
+form gets a fingerprint of exact numerical invariants matched against a small
+catalog of canonical representatives; a degenerate form without a match is
+classified through its rank-r reduction, by classify_codim_two in degree
+r - 2 and by the catalog otherwise.  Forms the catalog cannot settle come
+back `unknown` with their invariants still reported.  Every verdict is an
+OrbitReport that names only the fields it sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -560,42 +564,34 @@ class OrbitReport:
     kind is "exact" (orbit pinned down), "candidates" (fingerprint matched
     several catalog entries), or "unknown".  components is None when the
     count cannot be certified.  open reflects whether the orbit is open in
-    its degree space (stability).
+    its degree space (stability).  Fields with a default are keyword-only.
     """
 
     kind: str
     orbit_id: str | None
-    candidates: tuple[str, ...]
+    candidates: tuple[str, ...] = field(default=(), kw_only=True)
     n: int
     k: int
-    rank: int | None
-    fingerprint: Fingerprint | None
-    length_sign: LengthSign | None
-    canonical: Form | None
-    components: int | None
+    rank: int | None = field(default=None, kw_only=True)
+    fingerprint: Fingerprint | None = field(default=None, kw_only=True)
+    length_sign: LengthSign | None = field(default=None, kw_only=True)
+    canonical: Form | None = field(default=None, kw_only=True)
+    components: int | None = field(default=None, kw_only=True)
     open: bool
-    notes: tuple[str, ...]
+    notes: tuple[str, ...] = field(default=(), kw_only=True)
 
 
 def classify_two_form(phi: Form) -> OrbitReport:
     """Complete classification in degree two: the rank decides everything."""
     if phi.k != 2:
         raise DegreeError(f"expected a 2-form, got degree {phi.k}")
-    return _classify_two_form(phi, rank(phi))
-
-
-def _classify_two_form(phi: Form, r: int) -> OrbitReport:
-    """classify_two_form(phi) for a 2-form phi whose rank r is known."""
-    n = phi.n
+    n, r = phi.n, rank(phi)
     return OrbitReport(
         kind="exact",
         orbit_id=f"two-form:rank={r}",
-        candidates=(),
         n=n,
         k=2,
         rank=r,
-        fingerprint=None,
-        length_sign=None,
         canonical=_pair_form(n, r // 2),
         components=2 if r == n else 1,
         open=r == 2 * (n // 2),
@@ -608,27 +604,18 @@ def classify_codim_two(phi: Form, omega: VolumeForm | None = None) -> OrbitRepor
     n = phi.n
     if phi.k != n - 2 or n < 3:
         raise DegreeError(f"expected an (n-2)-form with n >= 3, got degree {phi.k} on R^{n}")
-    if omega is None:
-        omega = VolumeForm(n)
-    return _classify_codim_two(phi, rank(phi), omega)
-
-
-def _classify_codim_two(phi: Form, r: int, omega: VolumeForm) -> OrbitReport:
-    """classify_codim_two(phi, omega) for an (n-2)-form phi whose rank r is known."""
-    n = phi.n
-    ls = length_and_sign(phi, omega)
+    ls = length_and_sign(phi, omega if omega is not None else VolumeForm(n))
     l, s = ls.length, ls.sign
-    coeff = s if 2 * l == n else 1
     return OrbitReport(
         kind="exact",
         orbit_id=f"martinet:l={l},s={s}",
-        candidates=(),
         n=n,
         k=phi.k,
-        rank=r,
-        fingerprint=None,
+        # phi = i_xi omega, so i_v phi = i_{xi ^ v} omega is zero exactly when
+        # xi ^ v = 0: ker phi is R^n at l = 0, the plane of xi at l = 1, else 0.
+        rank=n if l >= 2 else (n - 2) * l,
         length_sign=ls,
-        canonical=_martinet_form(n, l, coeff) if l else Form(n, n - 2),
+        canonical=_martinet_form(n, l, s if 2 * l == n else 1) if l else Form(n, n - 2),
         components=2 if (2 * l == n and l % 2 == 0) else 1,
         open=l == n // 2,
         notes=("length and sign form a complete invariant in codimension two",),
@@ -652,12 +639,8 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         return OrbitReport(
             kind="exact",
             orbit_id=f"scalar:{c}",
-            candidates=(),
             n=n,
             k=0,
-            rank=None,
-            fingerprint=None,
-            length_sign=None,
             canonical=phi,
             components=1,
             open=False,
@@ -669,12 +652,9 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         return OrbitReport(
             kind="exact",
             orbit_id="zero",
-            candidates=(),
             n=n,
             k=k,
             rank=0,
-            fingerprint=None,
-            length_sign=None,
             canonical=Form(n, k),
             components=1,
             open=comb(n, k) == 0,
@@ -686,15 +666,9 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
     base = _catalog_verdict(phi, r, fp)
     if base.kind != "unknown" or r == n:
         return base
-    if _has_complete_invariant(r, k):
-        # phi_r has full rank r, which decides a 2-form and enters the
-        # (r-2)-form report
-        phi_r = red.reduced
-        sub = (
-            _classify_two_form(phi_r, r)
-            if k == 2
-            else _classify_codim_two(phi_r, r, VolumeForm(r))
-        )
+    if k == r - 2:
+        # every 2-form returned above, so only codimension two can be complete here
+        sub = classify_codim_two(red.reduced)
     else:
         # phi_r has full rank, the same profile and the stabilizer whose Gram
         # _fingerprint built, so only its inertia is new.
@@ -726,16 +700,11 @@ def _catalog_verdict(phi: Form, r: int, fp: Fingerprint) -> OrbitReport:
     base = OrbitReport(
         kind="unknown",
         orbit_id=None,
-        candidates=(),
         n=n,
         k=k,
         rank=r,
         fingerprint=fp,
-        length_sign=None,
-        canonical=None,
-        components=None,
         open=n * n - fp.stab_dim == comb(n, k),
-        notes=(),
     )
     matches = match_catalog(fp, n, k)
     if len(matches) == 1:

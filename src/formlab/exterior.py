@@ -163,6 +163,7 @@ def _merge_disjoint(left: MultiIndex, right: MultiIndex) -> tuple[MultiIndex, in
 def _clean_terms(
     n: int, k: int, terms: Mapping[MultiIndex, Scalar] | Iterable[tuple[MultiIndex, Scalar]]
 ) -> dict[MultiIndex, Fraction]:
+    """Validated terms as a dict; repeated indices are summed and zeros dropped."""
     items = terms.items() if isinstance(terms, Mapping) else terms
     out: dict[MultiIndex, Fraction] = {}
     for idx, c in items:
@@ -247,18 +248,7 @@ class _Alternating:
 
     def __add__(self, other):
         self._require_peer(other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            acc = terms.get(idx)
-            if acc is None:
-                terms[idx] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[idx] = acc
-                else:
-                    del terms[idx]
-        return type(self)(self.n, self.k, terms)
+        return type(self)(self.n, self.k, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         return self + (-other)
@@ -354,7 +344,8 @@ class LinMap:
         n = len(entries)
         rows = []
         for row in entries:
-            row = tuple(as_fraction(x) for x in row)
+            # from a list, not a generator: see _substitute
+            row = tuple([as_fraction(x) for x in row])
             if len(row) != n:
                 raise DimensionMismatch("matrix must be square")
             rows.append(row)
@@ -455,7 +446,7 @@ class InnerProduct:
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]]):
         n = len(matrix)
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
+        rows = tuple([tuple([as_fraction(x) for x in row]) for row in matrix])
         for row in rows:
             if len(row) != n:
                 raise DimensionMismatch("inner product matrix must be square")
@@ -502,18 +493,13 @@ def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
     k = a.k + b.k
     if k > a.n:
         return type(a)(a.n, k)
-    out: dict[MultiIndex, Fraction] = {}
+    out: list[tuple[MultiIndex, Fraction]] = []
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             merged = _merge_disjoint(ia, ib)
-            if merged is None:
-                continue
-            idx, sign = merged
-            c = out.get(idx, 0) + sign * ca * cb
-            if c:
-                out[idx] = c
-            else:
-                out.pop(idx, None)
+            if merged is not None:
+                idx, sign = merged
+                out.append((idx, sign * ca * cb))
     return type(a)(a.n, k, out)
 
 
@@ -527,19 +513,12 @@ def interior(v: Polyvector, phi: Form) -> Form:
         raise DimensionMismatch(f"dimension {v.n} != {phi.n}")
     if phi.k < 1:
         raise DegreeError("cannot contract a 0-form")
-    out: dict[MultiIndex, Fraction] = {}
+    out: list[tuple[MultiIndex, Fraction]] = []
     for idx, c in phi.terms.items():
         for p, i in enumerate(idx):
             vc = v.terms.get((i,))
-            if vc is None:
-                continue
-            rest = idx[:p] + idx[p + 1 :]
-            term = (-vc if p % 2 else vc) * c
-            acc = out.get(rest, 0) + term
-            if acc:
-                out[rest] = acc
-            else:
-                out.pop(rest, None)
+            if vc is not None:
+                out.append((idx[:p] + idx[p + 1 :], (-vc if p % 2 else vc) * c))
     return Form(phi.n, phi.k - 1, out)
 
 
@@ -551,18 +530,13 @@ def multi_interior(X: Polyvector, phi: Form) -> Form:
         raise DimensionMismatch(f"dimension {X.n} != {phi.n}")
     if X.k > phi.k:
         raise DegreeError(f"cannot contract degree {X.k} into degree {phi.k}")
-    out: dict[MultiIndex, Fraction] = {}
+    out: list[tuple[MultiIndex, Fraction]] = []
     for jdx, xc in X.terms.items():
         for idx, c in phi.terms.items():
             hit = contract_sign(idx, jdx)
-            if hit is None:
-                continue
-            rest, sign = hit
-            acc = out.get(rest, 0) + sign * xc * c
-            if acc:
-                out[rest] = acc
-            else:
-                out.pop(rest, None)
+            if hit is not None:
+                rest, sign = hit
+                out.append((rest, sign * xc * c))
     return Form(phi.n, phi.k - X.k, out)
 
 

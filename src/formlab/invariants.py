@@ -107,22 +107,6 @@ def is_multisymplectic(phi: Form) -> bool:
     return rank(phi) == phi.n
 
 
-def _complement_frame(n: int, kernel: list[list[int]], free: list[int]) -> LinMap:
-    """Invertible frame whose first r columns span a complement of ker L_t.
-
-    kernel and free are the nullspace basis of L_t and its free columns.  The
-    complement is spanned by the coordinate directions at which the echelon
-    form of L_t has pivots; the remaining columns are the kernel basis itself,
-    so the frame splits R^n as (complement) + (kernel).
-    """
-    free_cols = set(free)
-    cols: list[list[Scalar]] = [
-        [int(i == c) for i in range(n)] for c in range(n) if c not in free_cols
-    ]
-    cols.extend(kernel)
-    return LinMap.from_columns(cols)
-
-
 def _kernel_reflection(frame: LinMap, r: int) -> LinMap:
     """frame . diag(1^r, -1, 1, ...) . frame^{-1}: a reflection of column r + 1.
 
@@ -158,8 +142,11 @@ def reduce_form(phi: Form) -> Reduction:
     """Split off ker L_phi and express phi on the complement, relabeled to R^r.
 
     One nullspace solve of the degree-1 contraction system gives r, the frame
-    and the kernel.  At full rank the frame is the identity and phi is its own
-    reduction, so no pullback is taken.
+    and the kernel.  The first r columns of the frame are the coordinate
+    directions at which the echelon form has pivots, spanning a complement of
+    the kernel; the last n - r are the kernel basis itself.  At full rank the
+    frame is the identity and phi is its own reduction, so no pullback is
+    taken.
     """
     if phi.k < 1:
         raise DegreeError("reduce needs degree at least 1")
@@ -177,7 +164,11 @@ def reduce_form(phi: Form) -> Reduction:
     if r == n:
         frame = LinMap.identity(n)
         return Reduction(r=n, reduced=phi, embedding=frame.entries, frame=frame, original_n=n)
-    frame = _complement_frame(n, kernel, free)
+    free_cols = set(free)
+    cols: list[list[Scalar]] = [
+        [int(i == c) for i in range(n)] for c in range(n) if c not in free_cols
+    ]
+    frame = LinMap.from_columns(cols + kernel)
     raw = pullback(frame, phi)
     for idx in raw.terms:
         if idx and idx[-1] > r:
@@ -195,26 +186,17 @@ def infinitesimal_act(A: LinMap, phi: Form) -> Form:
     """
     if A.n != phi.n:
         raise FormError(f"dimension {A.n} != {phi.n}")
-    n = phi.n
-    ent = A.entries
-    out: dict[MultiIndex, Fraction] = {}
+    out: list[tuple[MultiIndex, Fraction]] = []
     for idx, c in phi.terms.items():
         for p, i in enumerate(idx):
-            arow = ent[i - 1]
-            for b in range(1, n + 1):
-                a = arow[b - 1]
+            for b, a in enumerate(A.entries[i - 1], 1):
                 if not a:
                     continue
                 norm = normalize_index(idx[:p] + (b,) + idx[p + 1 :])
-                if norm is None:
-                    continue
-                jdx, sign = norm
-                acc = out.get(jdx, 0) - sign * a * c
-                if acc:
-                    out[jdx] = acc
-                else:
-                    out.pop(jdx, None)
-    return Form(n, phi.k, out)
+                if norm is not None:
+                    jdx, sign = norm
+                    out.append((jdx, -sign * a * c))
+    return Form(phi.n, phi.k, out)
 
 
 @dataclass(frozen=True)
@@ -387,14 +369,12 @@ def orientation_reversing_stabilizer_witness(phi: Form) -> LinMap:
     """A determinant -1 matrix fixing phi: reflect one kernel direction.
 
     Exists exactly when phi is degenerate; the complement of the kernel is
-    left untouched, so the pullback cannot see the reflection.
+    left untouched, so the pullback cannot see the reflection.  The frame is
+    that of reduce_form; a zero form's is the identity.
     """
     if phi.k < 1:
         raise DegreeError("witness needs degree at least 1")
-    if phi.is_zero:
-        return LinMap.diagonal([-1] + [1] * (phi.n - 1))
-    n = phi.n
-    kernel, free = _kernel_basis(phi)
-    if not kernel:
+    red = reduce_form(phi)
+    if red.r == phi.n:
         raise FormError("no witness by this construction: form is non-degenerate")
-    return _kernel_reflection(_complement_frame(n, kernel, free), n - len(kernel))
+    return _kernel_reflection(red.frame, red.r)

@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from formlab import (
     Form,
     FormError,
     LinMap,
+    OrbitReport,
     VolumeForm,
     act,
     catalog_entries,
     classify,
+    classify_codim_two,
     classify_two_form,
     fingerprint,
     killing_signature,
@@ -217,6 +220,13 @@ def test_fingerprint_block_path_on_degenerate_catalog():
                 _assert_fingerprint_is_generic(act(g, rep))
 
 
+def test_fingerprint_of_zero_forms_and_scalars():
+    # no reduction: the stabilizer of phi itself, gl(n) for a 0-form
+    assert fingerprint(Form.zero(5, 3)) == Fingerprint((0, 0), 25, (14, 10, 1))
+    assert fingerprint(Form(4, 0, {(): 3})) == Fingerprint((), 16, (9, 6, 1))
+    assert fingerprint(Form.zero(4, 0)) == Fingerprint((), 16, (9, 6, 1))
+
+
 def test_fingerprint_str():
     fp = fingerprint(_phi_split_g2())
     assert str(fp) == "profile=(7,7) stab=14 killing=(8,6,0)"
@@ -333,6 +343,35 @@ def test_classify_dispatches_two_forms_and_codim_two():
     assert rep.open and rep.components == 1
     rep = classify(Form.zero(6, 4))
     assert rep.orbit_id == "martinet:l=0,s=0" and not rep.open
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_codim_two_rank_is_read_off_the_length(data):
+    # classify_codim_two reports rank n, n - 2 or 0 from the Martinet length;
+    # rank() solves the contraction system
+    n = data.draw(st.integers(3, 10))
+    index = st.sets(st.integers(1, n), min_size=n - 2, max_size=n - 2)
+    size = data.draw(st.integers(0, min(5, comb(n, 2))))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+    terms = data.draw(
+        st.dictionaries(index.map(lambda x: tuple(sorted(x))), coeffs, min_size=size, max_size=size)
+    )
+    phi = Form(n, n - 2, terms)
+    if data.draw(st.booleans()):
+        phi = act(random_gl(n, trial_rng(data.draw(st.integers(0, 2**16)), n)), phi)
+    rep = classify_codim_two(phi)
+    assert rep.rank == rank(phi)
+    assert rep.rank == {0: 0, 1: n - 2}.get(rep.length_sign.length, n)
+
+
+def test_orbit_report_defaults():
+    rep = OrbitReport(kind="unknown", orbit_id=None, n=3, k=1, open=False)
+    assert rep.candidates == () and rep.notes == ()
+    assert rep.rank is rep.fingerprint is rep.length_sign is None
+    assert rep.canonical is rep.components is None
+    with pytest.raises(TypeError):
+        OrbitReport("unknown", None, (), 3, 1, None, None, None, None, None, False, ())
 
 
 def test_two_form_partition_by_rank():

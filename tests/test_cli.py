@@ -285,6 +285,37 @@ def test_invariants_includes_length_sign_for_codim_two(tmp_path, capsys):
     assert data["invariants"]["stabilizer"]["dim"] == 10
 
 
+def test_invariants_of_zero_form_and_scalar(tmp_path, capsys):
+    path = write_doc(tmp_path, {"n": 5, "k": 3, "terms": []})
+    code, out, _ = run(capsys, ["invariants", path, "--format", "structured"])
+    assert code == 0
+    data = json.loads(out)
+    inv = data["invariants"]
+    assert inv["rank"] == 0 and inv["multisymplectic"] is False
+    assert inv["reduction"] == {
+        "r": 0,
+        "reduced": {"k": 3, "n": 0, "terms": [], "variance": "form"},
+    }
+    assert inv["stabilizer"] == {"dim": 25, "orbit_dimension": 0, "stable": False}
+    assert inv["fingerprint"] == {"killing": [14, 10, 1], "rank_profile": [0, 0], "stab_dim": 25}
+    assert len(inv["kernel"]) == 5
+    reflection = [["0"] * 5 for _ in range(5)]
+    for i in range(5):
+        reflection[i][i] = "-1" if i == 0 else "1"
+    assert data["witnesses"] == {"orientation_reversing": reflection}
+
+    path = write_doc(tmp_path, {"n": 4, "k": 0, "terms": [{"idx": [], "num": 3}]})
+    code, out, _ = run(capsys, ["invariants", path, "--format", "structured"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["invariants"] == {
+        "fingerprint": None,
+        "rank": None,
+        "stabilizer": {"dim": 16, "orbit_dimension": 0, "stable": False},
+    }
+    assert data["witnesses"] == {}
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
     import sys

@@ -116,6 +116,15 @@ def test_basis_accumulates_signs():
     assert g.coeff((1, 2, 3)) == Fraction(1, 2)
 
 
+def test_constructor_sums_repeated_indices():
+    # wedge, interior, multi_interior, + and infinitesimal_act hand their
+    # unsummed (index, coefficient) pairs to the constructor
+    pairs = [((1,), 1), ((1,), -1), ((2,), 1), ((2,), 1)]
+    assert Form(3, 1, pairs) == Form(3, 1, {(2,): 2})
+    assert list(Form(3, 1, pairs).terms) == [(2,)]
+    assert Form(3, 1, [((3,), Fraction(1, 2)), ((3,), Fraction(-1, 2))]).is_zero
+
+
 def test_terms_are_immutable():
     f = Form.basis(3, (1, 2))
     with pytest.raises(TypeError):
