@@ -4,12 +4,13 @@ classify dispatches strongest invariant first.  A 0-form is its own orbit.
 2-forms and (n-2)-forms have complete invariants, one function each:
 classify_two_form reads the rank, classify_codim_two Martinet's length and
 sign, which also give the rank.  The zero form is a fixed point.  Any other
-form gets a fingerprint of exact numerical invariants matched against a small
-catalog of canonical representatives; a degenerate form without a match is
-classified through its rank-r reduction, by classify_codim_two in degree
-r - 2 and by the catalog otherwise.  Forms the catalog cannot settle come
-back `unknown` with their invariants still reported.  Every verdict is an
-OrbitReport that names only the fields it sets.
+form gets a fingerprint of exact numerical invariants.  A form of rank r < n
+is always named by its rank-r reduction, by classify_codim_two in degree
+r - 2 and by the rank-r catalog otherwise, so it gets the same orbit id on
+every R^n it is embedded in.  Only a full-rank form is matched against the
+(n, k) catalog of canonical representatives.  Forms the catalog cannot settle
+come back `unknown` with their invariants still reported.  Every verdict is
+an OrbitReport that names only the fields it sets.
 """
 
 from __future__ import annotations
@@ -96,17 +97,9 @@ def killing_signature(S: StabAlgebra) -> tuple[int, int, int]:
     scaling does not move inertia.  Each trace gathers only the nonzeros of
     one ad against the other (_killing_gram).
     """
-    s = S.dim
-    if s == 0:
+    if S.dim == 0:
         return (0, 0, 0)
-    n = S.n
-    if s == n * n:
-        # The full matrix algebra: trace form 2n tr(AB) - 2 tr(A) tr(B).
-        # Positive on traceless symmetric, negative on antisymmetric, null on
-        # the center.  The generic path reproduces this (tested on small n);
-        # the closed form avoids an O(n^8) computation.
-        return (n * (n + 1) // 2 - 1, n * (n - 1) // 2, 1)
-    return _killing_from_basis(n, S._flat, S._free)
+    return _killing_from_basis(S.n, S._flat, S._free)
 
 
 def _killing_from_basis(
@@ -406,42 +399,41 @@ def _entry(name: str, rep: Form, note: str, provenance: str) -> CatalogEntry:
     )
 
 
-def _phi_split_g2(n: int = 7) -> Form:
-    terms = {
-        (1, 2, 3): 1,
-        (1, 4, 5): 1,
-        (1, 6, 7): 1,
-        (2, 4, 6): 1,
-        (2, 5, 7): -1,
-        (3, 4, 7): 1,
-        (3, 5, 6): 1,
-    }
-    return Form(n, 3, {idx: Fraction(c) for idx, c in terms.items()})
-
-
-def _phi_compact_g2(n: int = 7) -> Form:
-    terms = {
-        (1, 2, 3): 1,
-        (1, 4, 5): 1,
-        (1, 6, 7): 1,
-        (2, 4, 6): 1,
-        (2, 5, 7): -1,
-        (3, 4, 7): -1,
-        (3, 5, 6): -1,
-    }
-    return Form(n, 3, {idx: Fraction(c) for idx, c in terms.items()})
-
-
-def _phi_elliptic_6(n: int = 6) -> Form:
-    # Real part of (e^1 + i e^4) ^ (e^2 + i e^5) ^ (e^3 + i e^6): the second
-    # open orbit of 3-forms in dimension six, not reachable from split type.
-    terms = {(1, 2, 3): 1, (3, 4, 5): -1, (2, 4, 6): 1, (1, 5, 6): -1}
-    return Form(n, 3, {idx: Fraction(c) for idx, c in terms.items()})
+# Normal forms fixed by classical classification results: (name, terms,
+# stabilizer note) per (n, k).
+_LITERATURE: dict[tuple[int, int], tuple[tuple[str, dict[tuple[int, ...], int], str], ...]] = {
+    (6, 3): (
+        (
+            # Real part of (e^1 + i e^4) ^ (e^2 + i e^5) ^ (e^3 + i e^6): the second
+            # open orbit of 3-forms in dimension six, not reachable from split type.
+            "elliptic-6",
+            {(1, 2, 3): 1, (3, 4, 5): -1, (2, 4, 6): 1, (1, 5, 6): -1},
+            "stabilizer is a real form of the special linear algebra of C^3 preserving a complex structure",
+        ),
+    ),
+    (7, 3): (
+        (
+            "G2-tilde-7",
+            {(1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
+             (2, 5, 7): -1, (3, 4, 7): 1, (3, 5, 6): 1},
+            "stabilizer algebra is the split exceptional 14-dimensional simple algebra",
+        ),
+        (
+            "G2-compact-7",
+            {(1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
+             (2, 5, 7): -1, (3, 4, 7): -1, (3, 5, 6): -1},
+            "stabilizer algebra is the compact exceptional 14-dimensional simple algebra",
+        ),
+    ),
+}
 
 
 def _check_coverage(n: int, k: int) -> None:
-    if n < 1 or n > MAX_DIMENSION or k < 0 or k > n:
-        raise FormError(f"catalog needs 1 <= n <= {MAX_DIMENSION} and 0 <= k <= n")
+    """Raise FormError unless 1 <= n <= MAX_DIMENSION and 0 <= k <= n."""
+    if n < 1 or n > MAX_DIMENSION:
+        raise FormError(f"n must be within 1..{MAX_DIMENSION}, got {n}")
+    if k < 0 or k > n:
+        raise FormError(f"k must satisfy 0 <= k <= n, got k={k} with n={n}")
 
 
 @lru_cache(maxsize=None)
@@ -524,32 +516,8 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                 "derived",
             )
         )
-    if (n, k) == (6, 3):
-        entries.append(
-            _entry(
-                "elliptic-6",
-                _phi_elliptic_6(),
-                "stabilizer is a real form of the special linear algebra of C^3 preserving a complex structure",
-                "literature",
-            )
-        )
-    if (n, k) == (7, 3):
-        entries.append(
-            _entry(
-                "G2-tilde-7",
-                _phi_split_g2(),
-                "stabilizer algebra is the split exceptional 14-dimensional simple algebra",
-                "literature",
-            )
-        )
-        entries.append(
-            _entry(
-                "G2-compact-7",
-                _phi_compact_g2(),
-                "stabilizer algebra is the compact exceptional 14-dimensional simple algebra",
-                "literature",
-            )
-        )
+    for name, terms, note in _LITERATURE.get((n, k), ()):
+        entries.append(_entry(name, Form(n, k, terms), note, "literature"))
     return tuple(entries)
 
 
@@ -663,9 +631,8 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
     _check_coverage(n, k)
     fp, red, gram = _fingerprint(phi)
     r = red.r
-    base = _catalog_verdict(phi, r, fp)
-    if base.kind != "unknown" or r == n:
-        return base
+    if r == n:
+        return _catalog_verdict(phi, fp)
     if k == r - 2:
         # every 2-form returned above, so only codimension two can be complete here
         sub = classify_codim_two(red.reduced)
@@ -673,28 +640,27 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         # phi_r has full rank, the same profile and the stabilizer whose Gram
         # _fingerprint built, so only its inertia is new.
         sub_fp = Fingerprint(fp.rank_profile, len(gram), inertia_fraction(gram))
-        sub = _catalog_verdict(red.reduced, r, sub_fp)
-    note = f"classified through the rank-{r} reduction"
-    if sub.kind == "unknown":
-        return replace(base, components=1, notes=(note, "no catalog match for the reduced form"))
+        sub = _catalog_verdict(red.reduced, sub_fp)
+    notes = ("no catalog match for the reduced form",) if sub.kind == "unknown" else sub.notes
     # An exact sub-verdict has no candidates, a candidates one no id or canonical form.
     return replace(
-        base,
-        kind=sub.kind,
+        sub,
         orbit_id=f"rank{r}:{sub.orbit_id}" if sub.orbit_id is not None else None,
         candidates=tuple(f"rank{r}:{name}" for name in sub.candidates),
-        length_sign=sub.length_sign,
+        n=n,
+        fingerprint=fp,
         canonical=_inflate(sub.canonical, n) if sub.canonical is not None else None,
         components=1,
-        notes=(note,) + sub.notes,
+        open=n * n - fp.stab_dim == comb(n, k),
+        notes=(f"classified through the rank-{r} reduction",) + notes,
     )
 
 
-def _catalog_verdict(phi: Form, r: int, fp: Fingerprint) -> OrbitReport:
-    """The catalog's verdict on a nonzero phi of rank r with fingerprint fp.
+def _catalog_verdict(phi: Form, fp: Fingerprint) -> OrbitReport:
+    """The catalog's verdict on a nonzero full-rank phi with fingerprint fp.
 
-    A degenerate phi without a catalog match comes back `unknown` with no
-    notes; classify then tries its reduction.
+    Degenerate forms never come here: classify names them by their reduction,
+    so the degenerate block entries of the (n, k) catalog are never matched.
     """
     n, k = phi.n, phi.k
     base = OrbitReport(
@@ -702,7 +668,7 @@ def _catalog_verdict(phi: Form, r: int, fp: Fingerprint) -> OrbitReport:
         orbit_id=None,
         n=n,
         k=k,
-        rank=r,
+        rank=n,
         fingerprint=fp,
         open=n * n - fp.stab_dim == comb(n, k),
     )
@@ -714,17 +680,16 @@ def _catalog_verdict(phi: Form, r: int, fp: Fingerprint) -> OrbitReport:
             kind="exact",
             orbit_id=f"catalog:{entry.name}",
             canonical=entry.representative,
-            components=1 if r < n else entry.components,
+            components=entry.components,
             notes=(entry.stabilizer_note, f"matched catalog entry [{entry.provenance}]"),
         )
     if matches:
         comps = {e.components for e in matches}
-        shared = comps.pop() if len(comps) == 1 else None
         return replace(
             base,
             kind="candidates",
             candidates=tuple(e.name for e in matches),
-            components=1 if r < n else shared,
+            components=comps.pop() if len(comps) == 1 else None,
             notes=("fingerprint matches several catalog entries",),
         )
     if k == n and not catalog_entries(n, n):
@@ -738,11 +703,7 @@ def _catalog_verdict(phi: Form, r: int, fp: Fingerprint) -> OrbitReport:
             components=2,
             notes=("GL(n) acts on n-forms by det^-1: all nonzero n-forms lie in one orbit",),
         )
-    if r == n:
-        return replace(
-            base, notes=("no catalog match at full rank; invariants reported as computed",)
-        )
-    return base
+    return replace(base, notes=("no catalog match at full rank; invariants reported as computed",))
 
 
 def sample_orbit_statistics(

@@ -15,7 +15,7 @@ from math import comb
 from typing import Any
 
 from .classify import (
-    MAX_DIMENSION,
+    _check_coverage,
     _fingerprint,
     catalog_entries,
     classify,
@@ -77,13 +77,6 @@ def _load_json(path: str) -> tuple[Any, str]:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _check_cap(n: int, k: int) -> None:
-    if n < 1 or n > MAX_DIMENSION:
-        raise DomainError(f"n must be within 1..{MAX_DIMENSION}, got {n}")
-    if k < 0 or k > n:
-        raise DomainError(f"k must satisfy 0 <= k <= n, got k={k} with n={n}")
-
-
 def _load_matrix(path: str, flag: str):
     """Square rational matrix from a JSON list of rows or an object with 'matrix'."""
     doc, _ = _load_json(path)
@@ -102,7 +95,7 @@ def _load_matrix(path: str, flag: str):
 def _load_element(args: argparse.Namespace):
     doc, digest = _load_json(args.input)
     element, doc_volume, doc_metric = parse_document(doc)
-    _check_cap(element.n, element.k)
+    _check_coverage(element.n, element.k)
     volume = doc_volume
     if getattr(args, "volume", None) is not None:
         volume = parse_rational(args.volume, "--volume")
@@ -253,7 +246,7 @@ def cmd_act(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
-    _check_cap(args.n, args.k)
+    _check_coverage(args.n, args.k)
     if not (1 <= args.trials <= MAX_TRIALS):
         raise DomainError(f"trials must be within 1..{MAX_TRIALS}")
     if args.bound < 1:

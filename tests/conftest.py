@@ -12,6 +12,7 @@ from itertools import permutations
 import pytest
 
 from formlab import Form, Polyvector
+from formlab.classify import _LITERATURE
 from formlab.linalg import primitive_vector
 
 
@@ -271,6 +272,15 @@ def inertia_oracle(sym) -> tuple[int, int, int]:
             for c in active:
                 S[r][c] -= f * S[piv][c]
     return p, q, 0
+
+
+def literature_form(name: str) -> Form:
+    """The representative of the literature catalog entry called name."""
+    for (n, k), rows in _LITERATURE.items():
+        for entry, terms, _note in rows:
+            if entry == name:
+                return Form(n, k, terms)
+    raise KeyError(name)
 
 
 def random_int_matrix(rng, rows, cols, bound=6):

@@ -36,8 +36,9 @@ from formlab import (
     stabilizer_algebra,
     twisted_act,
 )
-from formlab.classify import _phi_split_g2
 from formlab.sampling import random_form, random_gl, random_nonzero_form, trial_rng
+
+from conftest import literature_form
 
 SEED = 2026
 
@@ -198,7 +199,7 @@ def test_criterion_4_stable_dimension_table(capsys, histograms):
         good = sum(c for fp, c in hist.items() if fp.stab_dim == want)
         shares[n] = good / 500
         ok &= shares[n] >= 0.99
-    phi0 = _phi_split_g2()
+    phi0 = literature_form("G2-tilde-7")
     S = stabilizer_algebra(phi0)
     ok &= S.dim == 14
     ok &= orbit_dimension(phi0) == 35

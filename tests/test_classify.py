@@ -31,13 +31,10 @@ from formlab.classify import (
     MAX_DIMENSION,
     _killing_from_basis,
     _killing_gram,
-    _phi_compact_g2,
-    _phi_elliptic_6,
-    _phi_split_g2,
 )
 from formlab.sampling import random_form, random_gl, trial_rng
 
-from conftest import killing_gram_oracle, random_int_matrix
+from conftest import killing_gram_oracle, literature_form, random_int_matrix
 
 
 def e(n, *idx):
@@ -51,7 +48,7 @@ def test_rank_profile_frozen():
     assert rank_profile(e(4, 1)) == ()
     assert rank_profile(e(4, 1, 2) + e(4, 3, 4)) == (4,)
     assert rank_profile(e(7, 1, 2, 3)) == (3, 3)
-    assert rank_profile(_phi_split_g2()) == (7, 7)
+    assert rank_profile(literature_form("G2-tilde-7")) == (7, 7)
     assert rank_profile(e(4, 1, 2, 3, 4)) == (4, 6, 4)
     assert rank_profile(Form.zero(5, 3)) == (0, 0)
 
@@ -99,9 +96,9 @@ def test_killing_gl_closed_form_matches_general_path(n, expected):
 
 
 def test_killing_exceptional_values():
-    assert killing_signature(stabilizer_algebra(_phi_split_g2())) == (8, 6, 0)
-    assert killing_signature(stabilizer_algebra(_phi_compact_g2())) == (0, 14, 0)
-    assert killing_signature(stabilizer_algebra(_phi_elliptic_6())) == (8, 8, 0)
+    assert killing_signature(stabilizer_algebra(literature_form("G2-tilde-7"))) == (8, 6, 0)
+    assert killing_signature(stabilizer_algebra(literature_form("G2-compact-7"))) == (0, 14, 0)
+    assert killing_signature(stabilizer_algebra(literature_form("elliptic-6"))) == (8, 8, 0)
 
 
 def test_killing_decomposable_at_dimension_cap():
@@ -228,7 +225,7 @@ def test_fingerprint_of_zero_forms_and_scalars():
 
 
 def test_fingerprint_str():
-    fp = fingerprint(_phi_split_g2())
+    fp = fingerprint(literature_form("G2-tilde-7"))
     assert str(fp) == "profile=(7,7) stab=14 killing=(8,6,0)"
 
 
@@ -297,7 +294,7 @@ def test_catalog_dimension_guard():
 def test_match_catalog():
     fp = fingerprint(e(7, 1, 2, 3))
     assert [e_.name for e_ in match_catalog(fp, 7, 3)] == ["decomposable"]
-    other = fingerprint(_phi_compact_g2())
+    other = fingerprint(literature_form("G2-compact-7"))
     assert [e_.name for e_ in match_catalog(other, 7, 3)] == ["G2-compact-7"]
     assert match_catalog(fp, 9, 3) == []
 
@@ -307,15 +304,15 @@ def test_match_catalog():
 
 def test_classify_frozen_verdicts():
     checks = [
-        (_phi_split_g2(), "catalog:G2-tilde-7", 2, True),
-        (_phi_compact_g2(), "catalog:G2-compact-7", 2, True),
-        (_phi_elliptic_6(), "catalog:elliptic-6", 1, True),
-        (e(7, 1, 2, 3), "catalog:decomposable", 1, False),
-        (e(7, 1, 2, 3) + e(7, 4, 5, 6), "catalog:split-2", 1, False),
+        (literature_form("G2-tilde-7"), "catalog:G2-tilde-7", 2, True),
+        (literature_form("G2-compact-7"), "catalog:G2-compact-7", 2, True),
+        (literature_form("elliptic-6"), "catalog:elliptic-6", 1, True),
+        (e(7, 1, 2, 3), "rank3:catalog:decomposable", 1, False),
+        (e(7, 1, 2, 3) + e(7, 4, 5, 6), "rank6:catalog:split-2", 1, False),
         (e(6, 1, 2, 3) + e(6, 1, 4, 5), "rank5:martinet:l=2,s=1", 1, False),
         (e(4, 1, 2, 3, 4), "catalog:decomposable", 2, True),
         (Form.zero(7, 3), "zero", 1, False),
-        (e(4, 1), "catalog:decomposable", 1, True),
+        (e(4, 1), "rank1:catalog:decomposable", 1, True),
     ]
     for phi, orbit_id, comps, is_open in checks:
         rep = classify(phi)
@@ -390,8 +387,8 @@ def test_two_form_partition_by_rank():
 
 def test_classify_is_pullback_invariant():
     targets = [
-        _phi_split_g2(),
-        _phi_elliptic_6(),
+        literature_form("G2-tilde-7"),
+        literature_form("elliptic-6"),
         e(6, 1, 2, 3) + e(6, 1, 4, 5),
         e(7, 1, 2, 3) + e(7, 4, 5, 6),
     ]
@@ -403,6 +400,25 @@ def test_classify_is_pullback_invariant():
             assert rep.orbit_id == base.orbit_id
             assert rep.kind == base.kind
             assert rep.components == base.components
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_orbit_id_is_stable_under_embedding(data):
+    # a form on R^r is named by its rank reduction inside R^8 and inside R^9
+    # alike; degrees 6 and 7 are left out, being codimension two in one of them
+    r = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, min(r, 5)))
+    index = st.sets(st.integers(1, r), min_size=k, max_size=k).map(lambda x: tuple(sorted(x)))
+    terms = data.draw(
+        st.dictionaries(index, st.integers(-2, 2).filter(bool), min_size=1, max_size=4)
+    )
+    seed = data.draw(st.integers(0, 2**16))
+    verdicts = []
+    for n in (8, 9):
+        rep = classify(act(random_gl(n, trial_rng(seed, n)), Form(n, k, terms)))
+        verdicts.append((rep.kind, rep.orbit_id, rep.candidates))
+    assert verdicts[0] == verdicts[1]
 
 
 def test_classify_unknown_paths():

@@ -112,7 +112,7 @@ def test_classify_with_metric_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     # musical dual of e_1 under diag(2, 1) is 2 e^1: still the open orbit
-    assert data["verdict"]["orbit_id"] == "catalog:decomposable"
+    assert data["verdict"]["orbit_id"] == "rank1:catalog:decomposable"
 
 
 @pytest.mark.parametrize(
