@@ -8,9 +8,11 @@ form gets a fingerprint of exact numerical invariants.  A form of rank r < n
 is always named by its rank-r reduction, by classify_codim_two in degree
 r - 2 and by the rank-r catalog otherwise, so it gets the same orbit id on
 every R^n it is embedded in.  Only a full-rank form is matched against the
-(n, k) catalog of canonical representatives.  Forms the catalog cannot settle
-come back `unknown` with their invariants still reported.  Every verdict is
-an OrbitReport that names only the fields it sets.
+(n, k) catalog of canonical representatives.  A decomposable form (rank k)
+has a closed-form fingerprint and, off degrees 2 and n - 2, is named by the
+(k, k) catalog, which covers every k.  Forms the catalog cannot settle come
+back `unknown` with their invariants still reported.  Every verdict is an
+OrbitReport that names only the fields it sets.
 """
 
 from __future__ import annotations
@@ -99,14 +101,7 @@ def killing_signature(S: StabAlgebra) -> tuple[int, int, int]:
     """
     if S.dim == 0:
         return (0, 0, 0)
-    return _killing_from_basis(S.n, S._flat, S._free)
-
-
-def _killing_from_basis(
-    n: int, flats: tuple[tuple[int, ...], ...], free: tuple[int, ...]
-) -> tuple[int, int, int]:
-    """Killing signature of the algebra with basis flats and free spots free."""
-    return inertia_fraction(_killing_gram(n, flats, free)[0])
+    return inertia_fraction(_killing_gram(S.n, S._flat, S._free)[0])
 
 
 def _killing_gram(
@@ -198,6 +193,13 @@ def fingerprint(phi: Form) -> Fingerprint:
       killing = inertia(r K_r + r m T - m tau tau^T)
                 + (m(m+1)/2, m(m-1)/2, r m).
 
+    At r = k, phi is decomposable and nothing is solved beyond its rank:
+    phi_r = c e^{1...k} is fixed by A exactly when tr A = 0 and all its
+    contractions are onto, so profile = (C(k,1), ..., C(k,k-1)), stab(phi_r) =
+    sl(k), tau = 0 and K_k = 2k T.  The block is (2k^2 + k m) T, and T is
+    positive on traceless symmetric and negative on antisymmetric matrices:
+    killing = (k(k+1)/2 - 1 + m(m+1)/2, k(k-1)/2 + m(m-1)/2, k m).
+
     Full-rank forms solve phi itself, without a second degree-1 solve for
     the first rank; zero forms and 0-forms keep the stabilizer of phi.
     killing_signature(stabilizer_algebra(phi)) is the generic path, and the
@@ -208,35 +210,41 @@ def fingerprint(phi: Form) -> Fingerprint:
 
 def _fingerprint(
     phi: Form,
-) -> tuple[Fingerprint, Reduction | None, list[list[int]] | None]:
-    """fingerprint(phi), the reduction it used, and the Killing Gram of stab(phi_r).
+) -> tuple[Fingerprint, Reduction | None, Fingerprint | None]:
+    """fingerprint(phi), the reduction it used, and the fingerprint of phi_r.
 
-    The reduction and the Gram are None for zero forms and 0-forms.
+    The reduction and phi_r's fingerprint are None for zero forms and 0-forms.
     """
     red, S, stab_dim = _reduced_stabilizer(phi)
     if red is None:
         return Fingerprint(rank_profile(phi), stab_dim, killing_signature(S)), None, None
     phi_r, r, m = red.reduced, red.r, phi.n - red.r
-    profile = tuple(
-        r if j == 1 else rank_rows(*_contraction_rows(phi_r, j)) for j in range(1, phi.k)
-    )
-    gram, scale = _killing_gram(r, S._flat, S._free)
-    if not m:
-        return Fingerprint(profile, stab_dim, inertia_fraction(gram)), red, gram
-    flats = S._flat
-    traces = [sum(x[:: r + 1]) for x in flats]
-    transposed = [[y for c in range(r) for y in x[c::r]] for x in flats]
-    sq = scale * scale
-    block = [
-        [
-            r * g + sq * m * (r * sum(map(mul, x, y)) - tx * ty)
-            for g, y, ty in zip(row, transposed, traces)
+    if S is None:
+        profile = tuple(comb(r, j) for j in range(1, r))
+        sub = Fingerprint(profile, r * r - 1, (r * (r + 1) // 2 - 1, r * (r - 1) // 2, 0))
+        p, q, z = sub.killing_signature
+    else:
+        profile = tuple(
+            r if j == 1 else rank_rows(*_contraction_rows(phi_r, j)) for j in range(1, phi.k)
+        )
+        gram, scale = _killing_gram(r, S._flat, S._free)
+        sub = Fingerprint(profile, S.dim, inertia_fraction(gram))
+        if not m:
+            return sub, red, sub
+        flats = S._flat
+        traces = [sum(x[:: r + 1]) for x in flats]
+        transposed = [[y for c in range(r) for y in x[c::r]] for x in flats]
+        sq = scale * scale
+        block = [
+            [
+                r * g + sq * m * (r * sum(map(mul, x, y)) - tx * ty)
+                for g, y, ty in zip(row, transposed, traces)
+            ]
+            for row, x, tx in zip(gram, flats, traces)
         ]
-        for row, x, tx in zip(gram, flats, traces)
-    ]
-    p, q, z = inertia_fraction(block)
+        p, q, z = inertia_fraction(block)
     killing = (p + m * (m + 1) // 2, q + m * (m - 1) // 2, z + r * m)
-    return Fingerprint(profile, stab_dim, killing), red, gram
+    return Fingerprint(profile, stab_dim, killing), red, sub
 
 
 @dataclass(frozen=True)
@@ -442,6 +450,8 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
 
     Raises FormError outside 1 <= n <= MAX_DIMENSION, 0 <= k <= n; inside that
     range the result is empty where the catalog has nothing for (n, k).
+    Degrees 2 and n - 2 are covered at every n, other degrees up to n = 8, and
+    the top degree (decomposable, fingerprinted in closed form) at every n.
     """
     _check_coverage(n, k)
     if k == 0:
@@ -494,7 +504,7 @@ def catalog_entries(n: int, k: int) -> tuple[CatalogEntry, ...]:
                     )
                 )
         return tuple(entries)
-    if n > 8:
+    if n > 8 and k < n:
         return ()
     if k == 1:
         entries.append(
@@ -629,7 +639,7 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
             notes=("the zero form is a fixed point",),
         )
     _check_coverage(n, k)
-    fp, red, gram = _fingerprint(phi)
+    fp, red, fp_r = _fingerprint(phi)
     r = red.r
     if r == n:
         return _catalog_verdict(phi, fp)
@@ -637,10 +647,7 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         # every 2-form returned above, so only codimension two can be complete here
         sub = classify_codim_two(red.reduced)
     else:
-        # phi_r has full rank, the same profile and the stabilizer whose Gram
-        # _fingerprint built, so only its inertia is new.
-        sub_fp = Fingerprint(fp.rank_profile, len(gram), inertia_fraction(gram))
-        sub = _catalog_verdict(red.reduced, sub_fp)
+        sub = _catalog_verdict(red.reduced, fp_r)
     notes = ("no catalog match for the reduced form",) if sub.kind == "unknown" else sub.notes
     # An exact sub-verdict has no candidates, a candidates one no id or canonical form.
     return replace(
@@ -691,17 +698,6 @@ def _catalog_verdict(phi: Form, fp: Fingerprint) -> OrbitReport:
             candidates=tuple(e.name for e in matches),
             components=comps.pop() if len(comps) == 1 else None,
             notes=("fingerprint matches several catalog entries",),
-        )
-    if k == n and not catalog_entries(n, n):
-        # GL(n) acts on the top degree by det^-1, so every nonzero n-form lies
-        # in the orbit of e^{1...n}, which the catalog lists only up to n = 8
-        return replace(
-            base,
-            kind="exact",
-            orbit_id="catalog:decomposable",
-            canonical=_block_form(n, n, 1),
-            components=2,
-            notes=("GL(n) acts on n-forms by det^-1: all nonzero n-forms lie in one orbit",),
         )
     return replace(base, notes=("no catalog match at full rank; invariants reported as computed",))
 

@@ -241,19 +241,23 @@ def stabilizer_algebra(phi: Form) -> StabAlgebra:
     return StabAlgebra(n=n, dim=len(flat), _flat=tuple(map(tuple, flat)), _free=tuple(free))
 
 
-def _reduced_stabilizer(phi: Form) -> tuple[Reduction | None, StabAlgebra, int]:
+def _reduced_stabilizer(phi: Form) -> tuple[Reduction | None, StabAlgebra | None, int]:
     """The stabilizer algebra to solve for phi, and the dimension of stab(phi).
 
     For phi of rank r >= 1, stab(phi) = (stab(phi_r) + gl(n - r)) x
     Hom(R^r, R^(n-r)) on the rank-r reduction phi_r (see classify.fingerprint),
     so this returns (reduce_form(phi), stabilizer_algebra(phi_r),
-    s_r + n(n - r)) and solves only the r^2-column system.  Zero forms and
-    0-forms return (None, stabilizer_algebra(phi), its dimension).
+    s_r + n(n - r)) and solves only the r^2-column system.  At r = k, phi_r is
+    a top-degree form, whose stabilizer is sl(k): nothing is solved, the
+    algebra is None and s_r = k^2 - 1.  Zero forms and 0-forms return (None,
+    stabilizer_algebra(phi), its dimension).
     """
     if phi.k < 1 or phi.is_zero:
         S = stabilizer_algebra(phi)
         return None, S, S.dim
     red = reduce_form(phi)
+    if red.r == phi.k:
+        return red, None, phi.k * phi.k - 1 + phi.n * (phi.n - phi.k)
     S = stabilizer_algebra(red.reduced)
     return red, S, S.dim + phi.n * (phi.n - red.r)
 

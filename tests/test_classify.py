@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formlab import (
@@ -22,14 +22,15 @@ from formlab import (
     fingerprint,
     killing_signature,
     match_catalog,
+    orbit_dimension,
     rank,
     rank_profile,
     sample_orbit_statistics,
     stabilizer_algebra,
+    wedge,
 )
 from formlab.classify import (
     MAX_DIMENSION,
-    _killing_from_basis,
     _killing_gram,
 )
 from formlab.sampling import random_form, random_gl, trial_rng
@@ -92,7 +93,6 @@ def test_killing_gl_closed_form_matches_general_path(n, expected):
     S = stabilizer_algebra(Form.zero(n, 2))
     assert S.dim == n * n
     assert killing_signature(S) == expected
-    assert _killing_from_basis(n, S._flat, S._free) == expected
 
 
 def test_killing_exceptional_values():
@@ -203,6 +203,28 @@ def test_fingerprint_block_path_matches_generic(data):
     phi = act(g, Form(n, k, terms))
     assert rank(phi) < n
     _assert_fingerprint_is_generic(phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fingerprint_closed_form_of_decomposable_forms(data):
+    # rank k: fingerprint and orbit_dimension solve nothing beyond the rank,
+    # so compare them with the stabilizer of phi itself, full rank included
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, n))
+    if data.draw(st.booleans()):
+        covector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        phi = Form(n, 0, {(): 1})
+        for coords in data.draw(st.lists(covector, min_size=k, max_size=k)):
+            phi = wedge(phi, Form(n, 1, {(i,): c for i, c in enumerate(coords, 1)}))
+        assume(not phi.is_zero)
+    else:
+        rng = trial_rng(data.draw(st.integers(0, 2**16)), n)
+        g = random_gl(n, rng, det_sign=data.draw(st.sampled_from((1, -1))))
+        phi = act(g, e(n, *range(1, k + 1)))
+    assert rank(phi) == k
+    _assert_fingerprint_is_generic(phi)
+    assert orbit_dimension(phi) == n * n - stabilizer_algebra(phi).dim
 
 
 def test_fingerprint_block_path_on_degenerate_catalog():
@@ -442,10 +464,13 @@ def test_classify_unknown_paths():
     assert rep8.components == 1
 
 
-@pytest.mark.parametrize("n,r", [(9, 9), (10, 10), (11, 11), (10, 9), (11, 10)])
+@pytest.mark.parametrize(
+    "n,r", [(9, 9), (10, 10), (11, 11), (12, 12), (10, 9), (11, 10), (12, 11)]
+)
 def test_classify_top_degree_beyond_catalog(n, r):
     # GL(r) acts on r-forms by det^-1, so a nonzero r-form of rank r lies in
-    # the orbit of e^{1...r} although the catalog stops at n = 8
+    # the orbit of e^{1...r}, which the catalog lists at every r although its
+    # generic degrees stop at n = 8
     rep = classify(Form(n, r, {tuple(range(1, r + 1)): Fraction(-3, 7)}))
     assert rep.kind == "exact"
     assert rep.orbit_id == ("" if r == n else f"rank{r}:") + "catalog:decomposable"
@@ -457,8 +482,8 @@ def test_classify_top_degree_beyond_catalog(n, r):
 
 
 def test_classify_top_degree_in_catalog_unchanged():
-    # up to n = 8 the catalog entry decides, with its own notes
-    for n in range(3, 9):
+    # the catalog entry decides at every n, with its own notes
+    for n in range(3, MAX_DIMENSION + 1):
         rep = classify(Form(n, n, {tuple(range(1, n + 1)): 5}))
         assert (rep.kind, rep.orbit_id, rep.components, rep.open) == (
             "exact",
@@ -485,6 +510,19 @@ def test_classify_rejects_uncovered_dimension_before_invariants(monkeypatch):
     monkeypatch.setattr(module, "stabilizer_algebra", no_stabilizer)
     with pytest.raises(FormError):
         classify(e(MAX_DIMENSION + 1, 1, 2, 3))
+
+
+def test_classify_decomposable_solves_only_its_rank(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a decomposable form solved more than its rank")
+
+    invariants = importlib.import_module("formlab.invariants")
+    monkeypatch.setattr(invariants, "stabilizer_algebra", no_solve)
+    monkeypatch.setattr(importlib.import_module("formlab.classify"), "rank_rows", no_solve)
+    catalog_entries.cache_clear()  # the (k, k) entries must build without a solve too
+    moved = act(random_gl(9, trial_rng(63, 0), det_sign=-1), e(9, *range(1, 7)))
+    for phi in (e(MAX_DIMENSION, *range(1, MAX_DIMENSION + 1)), moved):
+        assert classify(phi).kind == "exact"
 
 
 def test_classify_reduction_recursion_inflates_canonical():

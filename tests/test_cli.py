@@ -244,6 +244,10 @@ def test_catalog_command(capsys):
     data = json.loads(out)
     assert data["entries"] == []
     assert any("no catalog coverage" in note for note in data["notes"])
+    code, out, _ = run(capsys, ["catalog", "12", "12", "--format", "structured"])
+    assert code == 0
+    data = json.loads(out)
+    assert [(row["name"], row["components"]) for row in data["entries"]] == [("decomposable", 2)]
     code, out, _ = run(capsys, ["catalog", "7", "3"])
     assert code == 0
     assert "G2-tilde-7" in out and "G2-compact-7" in out
