@@ -10,13 +10,16 @@ r - 2 and by the rank-r catalog otherwise, so it gets the same orbit id on
 every R^n it is embedded in.  Only a full-rank form is matched against the
 (n, k) catalog of canonical representatives.  A decomposable form (rank k)
 has a closed-form fingerprint and, off degrees 2 and n - 2, is named by the
-(k, k) catalog, which covers every k.  Forms the catalog cannot settle come
-back `unknown` with their invariants still reported.  Every verdict is an
-OrbitReport that names only the fields it sets.
+(k, k) catalog, which covers every k.  A full-rank (n-2)-form has one too, a
+function of n and Martinet's length alone, so fingerprint solves no
+stabilizer for it.  Forms the catalog cannot settle come back `unknown` with
+their invariants still reported.  Every verdict is an OrbitReport that names
+only the fields it sets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +45,6 @@ from .invariants import (
     _reduced_stabilizer,
     length_and_sign,
     rank,
-    stabilizer_algebra,
 )
 from .linalg import det_fraction, inertia_fraction, rank_rows
 
@@ -86,8 +88,21 @@ class Fingerprint:
 
 
 def rank_profile(phi: Form) -> tuple[int, ...]:
-    """Ranks of the maps (degree j polyvectors) -> (degree k-j forms), j < k."""
-    return tuple(rank_rows(*_contraction_rows(phi, j)) for j in range(1, phi.k))
+    """Ranks of the maps (degree j polyvectors) -> (degree k-j forms), j < k.
+
+    Only j <= k/2 is solved; _mirror fills in the rest.
+    """
+    k = phi.k
+    return _mirror([rank_rows(*_contraction_rows(phi, j)) for j in range(1, k // 2 + 1)], k)
+
+
+def _mirror(half: list[int], k: int) -> tuple[int, ...]:
+    """The rank profile j = 1..k-1 from its ranks at j = 1..k/2.
+
+    The maps from degree j and from degree k - j are transposes of one
+    pairing, (X, Y) -> phi(X ^ Y), so their ranks agree.
+    """
+    return tuple(half[min(j, k - j) - 1] for j in range(1, k))
 
 
 def killing_signature(S: StabAlgebra) -> tuple[int, int, int]:
@@ -200,37 +215,78 @@ def fingerprint(phi: Form) -> Fingerprint:
     positive on traceless symmetric and negative on antisymmetric matrices:
     killing = (k(k+1)/2 - 1 + m(m+1)/2, k(k-1)/2 + m(m-1)/2, k m).
 
-    Full-rank forms solve phi itself, without a second degree-1 solve for
-    the first rank; zero forms and 0-forms keep the stabilizer of phi.
-    killing_signature(stabilizer_algebra(phi)) is the generic path, and the
-    tests compare the two.
+    A full-rank (n-2)-form solves nothing beyond its rank either.  Write
+    phi = i_xi vol with xi a bivector of rank 2l, l >= 2 (Martinet's length),
+    and m = n - 2l.  In the convention of infinitesimal_act, A acts on vectors
+    by v -> Av and on vol by -tr A, so A fixes phi exactly when
+    A.xi = tr(A) xi.  In a frame with xi = e_12 + ... + e_{2l-1,2l} on
+    V = R^(2l) and U = R^m last, A = [[a, b], [c, d]] must have c = 0 (xi is
+    nondegenerate on V), and a = a0 + (mu/2) Id with a0 in sp(2l) and
+    mu = tr A, that is tr d = (1 - l) mu.  So stab(phi) = (sp(2l) + gl(m)) x
+    Hom(U, V), with mu read off tr d, and:
+
+    * i_X phi = +-i_{X ^ xi} vol, so r_j is the rank of X -> X ^ xi from
+      degree j to degree j + 2.  It splits by the degree a of the V-factor,
+      where hard Lefschetz makes Lambda^a V -> Lambda^(a+2) V injective for
+      a <= l - 1 and onto for a >= l - 1:
+      r_j = sum_a min(C(2l, a), C(2l, a+2)) C(m, j - a);
+    * stab_dim = l(2l + 1) + m^2 + 2lm = n(n+1)/2 + m(m-1)/2 (at m = 0,
+      tr d = 0 forces mu = 0);
+    * Hom(U, V) is an abelian ideal, so it lies in the radical.  On sp(2l)
+      and on sl(m), K is a positive multiple of the trace form, of inertia
+      (l(l+1), l^2) and (m(m+1)/2 - 1, m(m-1)/2).  For m >= 1 the centre
+      acts on Hom(U, V) by the nonzero scalar mu (n - 2) / (2m), which gives
+      one positive direction, and no cross term survives:
+      killing = (l(l+1) + m(m+1)/2, l^2 + m(m-1)/2, 2lm).
+
+    Other full-rank forms solve phi itself, without a second degree-1 solve
+    for the first rank; zero forms and 0-forms keep the stabilizer of phi.
+    Every solved rank profile stops at j = k/2 (_mirror).
+    Fingerprint(rank_profile(phi), S.dim, killing_signature(S)) with
+    S = stabilizer_algebra(phi) is the generic path, and the tests compare
+    the two.
     """
     return _fingerprint(phi)[0]
 
 
 def _fingerprint(
     phi: Form,
-) -> tuple[Fingerprint, Reduction | None, Fingerprint | None]:
-    """fingerprint(phi), the reduction it used, and the fingerprint of phi_r.
+) -> tuple[Fingerprint, Reduction | None, Callable[[], Fingerprint] | None]:
+    """fingerprint(phi), the reduction it used, and phi_r's fingerprint on demand.
 
-    The reduction and phi_r's fingerprint are None for zero forms and 0-forms.
+    Only classify's catalog path reads phi_r's fingerprint, so the inertia of
+    stab(phi_r)'s Killing Gram is taken only when the third value is called.
+    The reduction and the third value are None for zero forms and 0-forms.
     """
-    red, S, stab_dim = _reduced_stabilizer(phi)
+    red, S, stab_dim, l = _reduced_stabilizer(phi)
     if red is None:
         return Fingerprint(rank_profile(phi), stab_dim, killing_signature(S)), None, None
-    phi_r, r, m = red.reduced, red.r, phi.n - red.r
+    n, k, r = phi.n, phi.k, red.r
+    if l is not None:
+        m = n - 2 * l
+        profile = tuple(
+            sum(min(comb(2 * l, a), comb(2 * l, a + 2)) * comb(m, j - a) for a in range(j + 1))
+            for j in range(1, k)
+        )
+        killing = (l * (l + 1) + m * (m + 1) // 2, l * l + m * (m - 1) // 2, 2 * l * m)
+        codim = Fingerprint(profile, stab_dim, killing)
+        return codim, red, lambda: codim
+    m = n - r
     if S is None:
         profile = tuple(comb(r, j) for j in range(1, r))
         sub = Fingerprint(profile, r * r - 1, (r * (r + 1) // 2 - 1, r * (r - 1) // 2, 0))
+        reduced = lambda: sub
         p, q, z = sub.killing_signature
     else:
-        profile = tuple(
-            r if j == 1 else rank_rows(*_contraction_rows(phi_r, j)) for j in range(1, phi.k)
-        )
+        ranks = [rank_rows(*_contraction_rows(red.reduced, j)) for j in range(2, k // 2 + 1)]
+        profile = _mirror([r] + ranks, k)
         gram, scale = _killing_gram(r, S._flat, S._free)
-        sub = Fingerprint(profile, S.dim, inertia_fraction(gram))
+
+        def reduced() -> Fingerprint:
+            return Fingerprint(profile, S.dim, inertia_fraction(gram))
+
         if not m:
-            return sub, red, sub
+            return reduced(), red, reduced
         flats = S._flat
         traces = [sum(x[:: r + 1]) for x in flats]
         transposed = [[y for c in range(r) for y in x[c::r]] for x in flats]
@@ -244,7 +300,7 @@ def _fingerprint(
         ]
         p, q, z = inertia_fraction(block)
     killing = (p + m * (m + 1) // 2, q + m * (m - 1) // 2, z + r * m)
-    return Fingerprint(profile, stab_dim, killing), red, sub
+    return Fingerprint(profile, stab_dim, killing), red, reduced
 
 
 @dataclass(frozen=True)
@@ -639,7 +695,7 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
             notes=("the zero form is a fixed point",),
         )
     _check_coverage(n, k)
-    fp, red, fp_r = _fingerprint(phi)
+    fp, red, reduced_fingerprint = _fingerprint(phi)
     r = red.r
     if r == n:
         return _catalog_verdict(phi, fp)
@@ -647,7 +703,7 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         # every 2-form returned above, so only codimension two can be complete here
         sub = classify_codim_two(red.reduced)
     else:
-        sub = _catalog_verdict(red.reduced, fp_r)
+        sub = _catalog_verdict(red.reduced, reduced_fingerprint())
     notes = ("no catalog match for the reduced form",) if sub.kind == "unknown" else sub.notes
     # An exact sub-verdict has no candidates, a candidates one no id or canonical form.
     return replace(

@@ -241,29 +241,45 @@ def stabilizer_algebra(phi: Form) -> StabAlgebra:
     return StabAlgebra(n=n, dim=len(flat), _flat=tuple(map(tuple, flat)), _free=tuple(free))
 
 
-def _reduced_stabilizer(phi: Form) -> tuple[Reduction | None, StabAlgebra | None, int]:
-    """The stabilizer algebra to solve for phi, and the dimension of stab(phi).
+def _reduced_stabilizer(
+    phi: Form,
+) -> tuple[Reduction | None, StabAlgebra | None, int, int | None]:
+    """The stabilizer algebra to solve for phi, the dimension of stab(phi), and l.
 
     For phi of rank r >= 1, stab(phi) = (stab(phi_r) + gl(n - r)) x
     Hom(R^r, R^(n-r)) on the rank-r reduction phi_r (see classify.fingerprint),
     so this returns (reduce_form(phi), stabilizer_algebra(phi_r),
-    s_r + n(n - r)) and solves only the r^2-column system.  At r = k, phi_r is
-    a top-degree form, whose stabilizer is sl(k): nothing is solved, the
-    algebra is None and s_r = k^2 - 1.  Zero forms and 0-forms return (None,
-    stabilizer_algebra(phi), its dimension).
+    s_r + n(n - r), None) and solves only the r^2-column system.  Two kinds of
+    form solve nothing beyond the degree-1 system of reduce_form, and their
+    algebra is None:
+
+    * at r = k, phi_r is a top-degree form, whose stabilizer is sl(k), so
+      s_r = k^2 - 1;
+    * a full-rank (n-2)-form has Martinet length l >= 2 (l <= 1 leaves a
+      kernel), read off its dual bivector by length_and_sign; with
+      m = n - 2l, stab(phi) has dimension n(n+1)/2 + m(m-1)/2, and l is
+      returned last.
+
+    Zero forms and 0-forms return (None, stabilizer_algebra(phi), its
+    dimension, None).
     """
     if phi.k < 1 or phi.is_zero:
         S = stabilizer_algebra(phi)
-        return None, S, S.dim
+        return None, S, S.dim, None
     red = reduce_form(phi)
-    if red.r == phi.k:
-        return red, None, phi.k * phi.k - 1 + phi.n * (phi.n - phi.k)
+    n, k = phi.n, phi.k
+    if red.r == k:
+        return red, None, k * k - 1 + n * (n - k), None
+    if red.r == n and k == n - 2:
+        l = length_and_sign(phi, VolumeForm(n)).length
+        m = n - 2 * l
+        return red, None, n * (n + 1) // 2 + m * (m - 1) // 2, l
     S = stabilizer_algebra(red.reduced)
-    return red, S, S.dim + phi.n * (phi.n - red.r)
+    return red, S, S.dim + n * (n - red.r), None
 
 
 def orbit_dimension(phi: Form) -> int:
-    """n^2 - dim stab(phi), with the stabilizer solved at rank r (_reduced_stabilizer)."""
+    """n^2 - dim stab(phi), solved at rank r or in closed form (_reduced_stabilizer)."""
     return phi.n * phi.n - _reduced_stabilizer(phi)[2]
 
 

@@ -7,11 +7,11 @@ in the package is meaningful evidence.
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from formlab import Form, Polyvector
+from formlab import Form, Polyvector, interior
 from formlab.classify import _LITERATURE
 from formlab.linalg import primitive_vector
 
@@ -130,6 +130,26 @@ def nullspace_oracle(rows, ncols):
             x[pc] = -mat[r][f]
         basis.append(primitive_vector(x))
     return basis, free
+
+
+def rank_profile_oracle(phi: Form) -> tuple[int, ...]:
+    """Rank of X -> i_X(phi) in every degree j = 1..k-1, with no symmetry used.
+
+    Column J is i_{e_J}(phi) up to sign, taken one basis vector at a time
+    through interior; the matrix is ranked by textbook Gauss-Jordan.
+    """
+    n, k = phi.n, phi.k
+    ranks = []
+    for j in range(1, k):
+        rows = list(combinations(range(1, n + 1), k - j))
+        cols = []
+        for J in combinations(range(1, n + 1), j):
+            image = phi
+            for i in J:
+                image = interior(Polyvector.basis(n, (i,)), image)
+            cols.append([image.coeff(I) for I in rows])
+        ranks.append(rref_rank(cols, len(rows)))
+    return tuple(ranks)
 
 
 def det_gauss(mat) -> Fraction:

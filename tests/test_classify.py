@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -20,6 +21,7 @@ from formlab import (
     classify_codim_two,
     classify_two_form,
     fingerprint,
+    is_stable,
     killing_signature,
     match_catalog,
     orbit_dimension,
@@ -32,10 +34,11 @@ from formlab import (
 from formlab.classify import (
     MAX_DIMENSION,
     _killing_gram,
+    _martinet_form,
 )
 from formlab.sampling import random_form, random_gl, trial_rng
 
-from conftest import killing_gram_oracle, literature_form, random_int_matrix
+from conftest import killing_gram_oracle, literature_form, random_int_matrix, rank_profile_oracle
 
 
 def e(n, *idx):
@@ -52,6 +55,20 @@ def test_rank_profile_frozen():
     assert rank_profile(literature_form("G2-tilde-7")) == (7, 7)
     assert rank_profile(e(4, 1, 2, 3, 4)) == (4, 6, 4)
     assert rank_profile(Form.zero(5, 3)) == (0, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rank_profile_matches_all_degree_oracle(data):
+    # rank_profile solves j <= k/2 only and mirrors the rest
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(0, n))
+    index = st.sampled_from(list(combinations(range(1, n + 1), k)))
+    terms = data.draw(st.dictionaries(index, st.integers(-3, 3).filter(bool), max_size=12))
+    phi = Form(n, k, terms)
+    if data.draw(st.booleans()):
+        phi = act(random_gl(n, trial_rng(data.draw(st.integers(0, 2**16)), n)), phi)
+    assert rank_profile(phi) == rank_profile_oracle(phi)
 
 
 def test_rank_profile_is_action_invariant():
@@ -225,6 +242,40 @@ def test_fingerprint_closed_form_of_decomposable_forms(data):
     assert rank(phi) == k
     _assert_fingerprint_is_generic(phi)
     assert orbit_dimension(phi) == n * n - stabilizer_algebra(phi).dim
+
+
+def _assert_codim_two_is_generic(phi):
+    _assert_fingerprint_is_generic(phi)
+    orbit = phi.n * phi.n - stabilizer_algebra(phi).dim
+    assert orbit_dimension(phi) == orbit
+    assert is_stable(phi) == (orbit == comb(phi.n, phi.k))
+
+
+@pytest.mark.parametrize(
+    "n, l, s",
+    [
+        (n, l, s)
+        for n in range(3, 11)
+        for l in range(n // 2 + 1)
+        for s in ((1, -1) if 2 * l == n else (1,))
+    ],
+)
+def test_fingerprint_closed_form_of_martinet_forms(n, l, s):
+    # l >= 2 is full rank: the fingerprint is a function of (n, l) alone
+    _assert_codim_two_is_generic(_martinet_form(n, l, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fingerprint_closed_form_of_codim_two_forms(data):
+    n = data.draw(st.integers(3, 8))
+    index = st.sampled_from(list(combinations(range(1, n + 1), n - 2)))
+    terms = data.draw(
+        st.dictionaries(index, st.integers(-3, 3).filter(bool), min_size=1, max_size=comb(n, 2))
+    )
+    rng = trial_rng(data.draw(st.integers(0, 2**16)), n)
+    g = random_gl(n, rng, det_sign=data.draw(st.sampled_from((1, -1))))
+    _assert_codim_two_is_generic(act(g, Form(n, n - 2, terms)))
 
 
 def test_fingerprint_block_path_on_degenerate_catalog():
@@ -505,11 +556,13 @@ def test_classify_rejects_uncovered_dimension_before_invariants(monkeypatch):
     def no_stabilizer(phi):
         raise AssertionError("stabilizer computed for a form outside the catalog's range")
 
-    # the package's `classify` attribute is the function, not the module
-    module = importlib.import_module("formlab.classify")
-    monkeypatch.setattr(module, "stabilizer_algebra", no_stabilizer)
+    # the stabilizer is solved through invariants; e^{123} + e^{456} has rank
+    # 6 > 3, so its fingerprint would solve stab(phi_6)
+    invariants = importlib.import_module("formlab.invariants")
+    monkeypatch.setattr(invariants, "stabilizer_algebra", no_stabilizer)
+    n = MAX_DIMENSION + 1
     with pytest.raises(FormError):
-        classify(e(MAX_DIMENSION + 1, 1, 2, 3))
+        classify(e(n, 1, 2, 3) + e(n, 4, 5, 6))
 
 
 def test_classify_decomposable_solves_only_its_rank(monkeypatch):
@@ -523,6 +576,21 @@ def test_classify_decomposable_solves_only_its_rank(monkeypatch):
     moved = act(random_gl(9, trial_rng(63, 0), det_sign=-1), e(9, *range(1, 7)))
     for phi in (e(MAX_DIMENSION, *range(1, MAX_DIMENSION + 1)), moved):
         assert classify(phi).kind == "exact"
+
+
+def test_fingerprint_codim_two_solves_only_its_rank(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a full-rank (n-2)-form solved more than its rank")
+
+    invariants = importlib.import_module("formlab.invariants")
+    monkeypatch.setattr(invariants, "stabilizer_algebra", no_solve)
+    monkeypatch.setattr(importlib.import_module("formlab.classify"), "rank_rows", no_solve)
+    phi = random_form(12, 10, 9, trial_rng(64, 0))
+    assert len(phi.terms) > 60
+    # l = 6, m = 0: r_j = min(C(12, j), C(12, j + 2)) and stab = sp(12)
+    profile = tuple(min(comb(12, j), comb(12, j + 2)) for j in range(1, 10))
+    assert fingerprint(phi) == Fingerprint(profile, 78, (42, 36, 0))
+    assert orbit_dimension(phi) == 66 and is_stable(phi)
 
 
 def test_classify_reduction_recursion_inflates_canonical():
