@@ -250,15 +250,17 @@ def fingerprint(phi: Form) -> Fingerprint:
 
 
 def _fingerprint(
-    phi: Form,
+    phi: Form, ls: LengthSign | None = None
 ) -> tuple[Fingerprint, Reduction | None, Callable[[], Fingerprint] | None]:
     """fingerprint(phi), the reduction it used, and phi_r's fingerprint on demand.
 
     Only classify's catalog path reads phi_r's fingerprint, so the inertia of
     stab(phi_r)'s Killing Gram is taken only when the third value is called.
     The reduction and the third value are None for zero forms and 0-forms.
+    ls, phi's LengthSign if the caller holds it, spares _reduced_stabilizer
+    a second Pfaffian elimination.
     """
-    red, S, stab_dim, l = _reduced_stabilizer(phi)
+    red, S, stab_dim, l = _reduced_stabilizer(phi, ls)
     if red is None:
         return Fingerprint(rank_profile(phi), stab_dim, killing_signature(S)), None, None
     n, k, r = phi.n, phi.k, red.r

@@ -188,9 +188,14 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
     inv: dict[str, Any] = {}
     witnesses: dict[str, Any] = {}
     phi = _as_form(element, mu, notes)
+    # the Martinet length does not depend on the volume, so the fingerprint
+    # reuses the length_sign taken here under the document's volume
+    ls = None
+    if k == n - 2 and n >= 3:
+        ls = length_and_sign(phi, omega if omega is not None else VolumeForm(n))
     # one degree-1 solve: the reduction the fingerprint used (a zero form's
     # reduction solves nothing) gives the rank, the kernel and the witness
-    fp, red, _ = _fingerprint(phi)
+    fp, red, _ = _fingerprint(phi, ls)
     if k >= 1:
         if red is None:
             red = reduce_form(phi)
@@ -222,8 +227,7 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
         "stable": orbit_dim == comb(n, k),
     }
     inv["fingerprint"] = _fingerprint_json(fp) if k >= 1 else None
-    if k == n - 2 and n >= 3:
-        ls = length_and_sign(phi, omega if omega is not None else VolumeForm(n))
+    if ls is not None:
         inv["length_sign"] = _length_sign_json(ls)
     out["invariants"] = inv
     out["witnesses"] = witnesses

@@ -242,7 +242,7 @@ def stabilizer_algebra(phi: Form) -> StabAlgebra:
 
 
 def _reduced_stabilizer(
-    phi: Form,
+    phi: Form, ls: LengthSign | None = None
 ) -> tuple[Reduction | None, StabAlgebra | None, int, int | None]:
     """The stabilizer algebra to solve for phi, the dimension of stab(phi), and l.
 
@@ -258,7 +258,8 @@ def _reduced_stabilizer(
     * a full-rank (n-2)-form has Martinet length l >= 2 (l <= 1 leaves a
       kernel), read off its dual bivector by length_and_sign; with
       m = n - 2l, stab(phi) has dimension n(n+1)/2 + m(m-1)/2, and l is
-      returned last.
+      returned last.  A caller that already holds phi's LengthSign, under
+      any volume, passes it as ls, and the length is read from it instead.
 
     Zero forms and 0-forms return (None, stabilizer_algebra(phi), its
     dimension, None).
@@ -271,7 +272,9 @@ def _reduced_stabilizer(
     if red.r == k:
         return red, None, k * k - 1 + n * (n - k), None
     if red.r == n and k == n - 2:
-        l = length_and_sign(phi, VolumeForm(n)).length
+        if ls is None:
+            ls = length_and_sign(phi, VolumeForm(n))
+        l = ls.length
         m = n - 2 * l
         return red, None, n * (n + 1) // 2 + m * (m - 1) // 2, l
     S = stabilizer_algebra(red.reduced)

@@ -57,6 +57,18 @@ def test_rank_profile_frozen():
     assert rank_profile(Form.zero(5, 3)) == (0, 0)
 
 
+def test_rank_profile_top_degree_certified_modulo_p(monkeypatch):
+    # the contraction maps of e^{1...12} are signed permutations of full rank,
+    # so the certificate modulo a prime decides every degree and no Bareiss
+    # pass runs
+    def no_bareiss(*args):
+        raise AssertionError("a full-rank contraction map reached Bareiss")
+
+    monkeypatch.setattr(importlib.import_module("formlab.linalg"), "row_echelon_int", no_bareiss)
+    top = Form(12, 12, {tuple(range(1, 13)): 1})
+    assert rank_profile(top) == tuple(comb(12, j) for j in range(1, 12))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_rank_profile_matches_all_degree_oracle(data):

@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ import pytest
 from formlab import Form, LinMap, Polyvector, act
 from formlab.cli import main
 from formlab.docio import element_to_document
+from formlab.linalg import skew_pairs
 
 from conftest import det_gauss, evaluate_form
 
@@ -287,6 +289,37 @@ def test_invariants_includes_length_sign_for_codim_two(tmp_path, capsys):
     ls = data["invariants"]["length_sign"]
     assert ls["length"] == 2 and ls["sign"] == 1
     assert data["invariants"]["stabilizer"]["dim"] == 10
+
+
+def test_invariants_codim_two_reads_martinet_length_once(tmp_path, capsys, monkeypatch):
+    # the fingerprint of a full-rank (n-2)-form needs the Martinet length,
+    # and the length_sign field needs it under the document's volume: one
+    # Pfaffian elimination serves both
+    invariants = importlib.import_module("formlab.invariants")
+    calls = []
+
+    def counting(skew):
+        calls.append(skew)
+        return skew_pairs(skew)
+
+    monkeypatch.setattr(invariants, "skew_pairs", counting)
+    doc = {
+        "n": 8,
+        "k": 6,
+        "terms": [
+            {"idx": [3, 4, 5, 6, 7, 8], "num": 1},
+            {"idx": [1, 2, 5, 6, 7, 8], "num": 1},
+            {"idx": [1, 2, 3, 4, 7, 8], "num": 1},
+            {"idx": [1, 2, 3, 4, 5, 6], "num": 1},
+        ],
+    }
+    argv = ["invariants", write_doc(tmp_path, doc), "--volume=-2", "--format", "structured"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    inv = json.loads(out)["invariants"]
+    assert inv["length_sign"] == {"length": 4, "lambda": "-1", "sign": 1}
+    assert inv["stabilizer"]["dim"] == 36
+    assert len(calls) == 1
 
 
 def test_invariants_of_zero_form_and_scalar(tmp_path, capsys):

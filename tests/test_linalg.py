@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formlab import linalg
 from formlab.linalg import (
     as_fraction,
     det_fraction,
@@ -13,6 +15,7 @@ from formlab.linalg import (
     parity_sign,
     primitive_vector,
     rank_rows,
+    row_echelon_int,
     skew_pairs,
     to_int_rows,
 )
@@ -109,6 +112,88 @@ def test_nullspace_free_coordinate_structure():
 def test_nullspace_matches_rref_oracle(rows):
     ncols = len(rows[0])
     assert nullspace_rows(rows, ncols) == nullspace_oracle(rows, ncols)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_and_nullspace_match_oracles_on_every_shape(data):
+    # B C with inner dimension d has rank at most d, so tall, square and wide
+    # shapes come both at full rank and short of it, on either side of the
+    # column count at which the certificate modulo a prime is tried; rational
+    # row scales are cleared by to_int_rows first
+    m = data.draw(st.integers(1, 16))
+    c = data.draw(st.one_of(st.integers(1, 8), st.integers(12, 14)))
+    d = data.draw(st.one_of(st.just(min(m, c)), st.integers(0, min(m, c))))
+    B = data.draw(st.lists(st.lists(small_int, min_size=d, max_size=d), min_size=m, max_size=m))
+    C = data.draw(st.lists(st.lists(small_int, min_size=c, max_size=c), min_size=d, max_size=d))
+    scale = st.builds(Fraction, small_int.filter(bool), st.integers(1, 6))
+    scales = data.draw(st.lists(scale, min_size=m, max_size=m))
+    rows = [
+        [s * sum(B[i][t] * C[t][j] for t in range(d)) for j in range(c)]
+        for i, s in enumerate(scales)
+    ]
+    assert rank_rows(rows, c) == rref_rank(rows, c)
+    assert nullspace_rows(rows, c) == nullspace_oracle(rows, c)
+
+
+P = linalg._P
+N = linalg._CERTIFY_MIN_COLS
+
+
+def _with_identity(block):
+    # block on the leading coordinates of R^N, the identity on the rest
+    k = len(block)
+    return [[*row, *[0] * (N - k)] for row in block] + [
+        [int(j == i) for j in range(N)] for i in range(k, N)
+    ]
+
+
+def _random_times_p(seed, nrows, col):
+    rows = random_int_matrix(random.Random(seed), nrows, N)
+    return [[x * P if j == col else x for j, x in enumerate(row)] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _with_identity([[P]]),
+        _with_identity([[1, 1], [1, P + 1]]),
+        [[Fraction(P, 2), *[0] * (N - 1)], [*[0] * (N - 1), Fraction(1, 3)]],
+        _random_times_p(7, N + 2, 2),
+        _random_times_p(8, N, 0),
+        # the first N rows are short over Q too; the last one completes them
+        _with_identity([])[:-1] + [[1] + [0] * (N - 1), [0] * (N - 1) + [1]],
+    ],
+    ids=["zero-column", "det-p", "wide-rational", "tall-times-p", "square-times-p", "late-row"],
+)
+def test_full_rank_short_modulo_p_falls_back_to_bareiss(monkeypatch, rows):
+    # full rank over Q, short modulo P: the certificate proves nothing, so
+    # the answer comes from one Bareiss pass on all rows
+    calls = []
+
+    def spy(mat, ncols):
+        calls.append(len(mat))
+        return row_echelon_int(mat, ncols)
+
+    monkeypatch.setattr(linalg, "row_echelon_int", spy)
+    nrows, ncols = len(rows), len(rows[0])
+    assert rref_rank(rows, ncols) == min(nrows, ncols)
+    assert rank_rows(rows, ncols) == min(nrows, ncols)
+    assert calls == [nrows]
+    assert nullspace_rows(rows, ncols) == nullspace_oracle(rows, ncols)
+    assert calls == [nrows, nrows]
+
+
+def test_full_rank_certified_without_bareiss(monkeypatch):
+    def no_bareiss(*args):
+        raise AssertionError("a full-rank system reached Bareiss")
+
+    monkeypatch.setattr(linalg, "row_echelon_int", no_bareiss)
+    tall = random_int_matrix(random.Random(1), N + 3, N)
+    tall[-1] = [Fraction(x, 7) for x in tall[-1]]
+    assert nullspace_rows(tall, N) == ([], [])
+    assert rank_rows(tall, N) == N
+    assert rank_rows(random_int_matrix(random.Random(2), 5, N), N) == 5
 
 
 @given(square_strategy())
