@@ -12,9 +12,11 @@ every R^n it is embedded in.  Only a full-rank form is matched against the
 has a closed-form fingerprint and, off degrees 2 and n - 2, is named by the
 (k, k) catalog, which covers every k.  A full-rank (n-2)-form has one too, a
 function of n and Martinet's length alone, so fingerprint solves no
-stabilizer for it.  Forms the catalog cannot settle come back `unknown` with
-their invariants still reported.  Every verdict is an OrbitReport that names
-only the fields it sets.
+stabilizer for it.  So has a stable 3-form of rank 6 or 7, on any R^n: the
+sign of Hitchin's lambda (rank 6) or the definiteness of Bryant's bilinear
+form B (rank 7) names its stabilizer.  Forms the catalog cannot settle come
+back `unknown` with their invariants still reported.  Every verdict is an
+OrbitReport that names only the fields it sets.
 """
 
 from __future__ import annotations
@@ -31,17 +33,17 @@ from .exterior import (
     Form,
     FormError,
     LinMap,
-    Polyvector,
     VolumeForm,
     act,
-    interior,
     wedge,
 )
 from .invariants import (
     LengthSign,
     Reduction,
     StabAlgebra,
+    _bryant_gram,
     _contraction_rows,
+    _integer_terms,
     _reduced_stabilizer,
     length_and_sign,
     rank,
@@ -239,6 +241,37 @@ def fingerprint(phi: Form) -> Fingerprint:
       one positive direction, and no cross term survives:
       killing = (l(l+1) + m(m+1)/2, l^2 + m(m-1)/2, 2lm).
 
+    A stable 3-form of rank r = 6 or 7 solves nothing beyond its rank
+    either: one exact invariant of phi_r, built from the 5-forms
+    psi_w = i_{e_w} phi_r ^ phi_r, names its stabilizer.
+
+    * At r = 6, K(e_w) is the vector that poincare_inv dualizes psi_w to,
+      and Hitchin's lambda = tr(K^2) / 6 is a quartic in the coefficients
+      (J. Differential Geom. 55, 2000).  GL(6, R) has two open orbits on
+      Lambda^3, and lambda != 0 on exactly these.  lambda > 0 on
+      e^123 + e^456, fixed by sl(3, R) + sl(3, R), of Killing inertia
+      (10, 6, 0); lambda < 0 on the real part of a complex volume form,
+      fixed by sl(3, C) as a real algebra, of inertia (8, 8, 0).  Both
+      stabilizers have dimension 16 = 36 - 20.
+    * At r = 7, B(v, w) = i_v phi ^ i_w phi ^ phi against e^{1..7} is
+      symmetric, and phi is stable exactly when B is nondegenerate (Bryant,
+      "Some remarks on G2-structures", 2005).  Then stab(phi) is the compact
+      G2 when B is definite, of inertia (0, 14, 0), and the split G2 when it
+      is not, of inertia (8, 6, 0), both of dimension 14 = 49 - 35.
+    * g in GL multiplies tr K^2 by det(g)^-2 and B, up to congruence, by
+      det(g)^-1, so the sign of lambda and the definiteness of B are orbit
+      invariants.  They are taken on phi_r scaled to integers: a scale
+      c > 0 multiplies tr K^2 by c^4 and B by c^3, which moves neither.
+    * A stable form has full rank, so profile = (r, r).  All four
+      stabilizers are semisimple, so tau = 0, and on each simple ideal the
+      trace form T is a positive multiple of K_r (on sl(3, C), T is twice
+      the real part of the complex trace form).  The block r K_r + r m T has
+      the inertia of K_r, and the lift is that of decomposable forms:
+      stab_dim = s_r + n m, killing = K_r's inertia
+      + (m(m+1)/2, m(m-1)/2, r m).
+    * lambda = 0 at rank 6 (an orbit the catalog lacks) and det B = 0 at
+      rank 7 are not stable, and keep the solve.
+
     Other full-rank forms solve phi itself, without a second degree-1 solve
     for the first rank; zero forms and 0-forms keep the stabilizer of phi.
     Every solved rank profile stops at j = k/2 (_mirror).
@@ -260,24 +293,15 @@ def _fingerprint(
     ls, phi's LengthSign if the caller holds it, spares _reduced_stabilizer
     a second Pfaffian elimination.
     """
-    red, S, stab_dim, l = _reduced_stabilizer(phi, ls)
+    red, S, stab_dim, closed = _reduced_stabilizer(phi, ls)
     if red is None:
         return Fingerprint(rank_profile(phi), stab_dim, killing_signature(S)), None, None
     n, k, r = phi.n, phi.k, red.r
-    if l is not None:
-        m = n - 2 * l
-        profile = tuple(
-            sum(min(comb(2 * l, a), comb(2 * l, a + 2)) * comb(m, j - a) for a in range(j + 1))
-            for j in range(1, k)
-        )
-        killing = (l * (l + 1) + m * (m + 1) // 2, l * l + m * (m - 1) // 2, 2 * l * m)
-        codim = Fingerprint(profile, stab_dim, killing)
-        return codim, red, lambda: codim
     m = n - r
     if S is None:
-        profile = tuple(comb(r, j) for j in range(1, r))
-        sub = Fingerprint(profile, r * r - 1, (r * (r + 1) // 2 - 1, r * (r - 1) // 2, 0))
+        sub = Fingerprint(*closed)
         reduced = lambda: sub
+        profile = sub.rank_profile
         p, q, z = sub.killing_signature
     else:
         ranks = [rank_rows(*_contraction_rows(red.reduced, j)) for j in range(2, k // 2 + 1)]
@@ -394,20 +418,14 @@ def _block_swap_reversal(phi: Form, k: int) -> LinMap | None:
 
 
 def _seven_three_gram_det(phi: Form) -> Fraction:
-    """det of B(v, w) = i_v(phi) ^ i_w(phi) ^ phi against e^{1..7}.
+    """det of B(v, w) = i_v(phi) ^ i_w(phi) ^ phi against e^{1..7}, up to a positive factor.
 
     A stabilizing h satisfies B(hv, hw) = det(h) B(v, w), so det(B) != 0
     forces det(h)^5 = det(h)^7 / det(h)^2 = 1 at the determinant level,
-    pinning every stabilizer element inside SL(7).
+    pinning every stabilizer element inside SL(7).  B is built on phi scaled
+    to integers, which multiplies det(B) by a positive power of the scale.
     """
-    n = phi.n
-    top = tuple(range(1, n + 1))
-    cont = [interior(Polyvector.basis(n, (v,)), phi) for v in range(1, n + 1)]
-    B = [
-        [wedge(wedge(cont[v], cont[w]), phi).coeff(top) for w in range(n)]
-        for v in range(n)
-    ]
-    return det_fraction(B)
+    return det_fraction(_bryant_gram(_integer_terms(phi)))
 
 
 def _component_count(rep: Form) -> tuple[int | None, str]:

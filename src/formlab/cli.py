@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 when an input document or matrix file cannot be
 parsed, 3 when the request falls outside the supported domain (dimension cap,
-invalid degree, singular matrix, zero volume).
+invalid degree, singular matrix, zero volume), 141 when the reader of stdout
+closed it before the report was written (as in `formlab catalog 12 10 |
+true`): the code a shell gives a process that SIGPIPE ends, 128 + 13.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from math import comb
 from typing import Any
@@ -50,6 +53,7 @@ from .invariants import (
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
+EXIT_PIPE = 141
 
 MAX_TRIALS = 10**6
 
@@ -435,9 +439,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if args.format == "structured":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
     else:
-        print(_render_text(report))
+        text = _render_text(report)
+    try:
+        print(text)
+        # flush inside the try, so a closed pipe is met here and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull so that
+        # flush writes nothing and raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
     return EXIT_OK
 
 

@@ -2,13 +2,19 @@
 
 Everything here reduces to exact integer or rational linear algebra: the
 contraction operator L_phi, its kernel, the stabilizer algebra inside
-gl(n, Q), and the length/sign data of codimension-two forms.
+gl(n, Q), and the length/sign data of codimension-two forms.  Three kinds of
+form get the dimension of their stabilizer without solving for it
+(_reduced_stabilizer): decomposable forms, full-rank (n-2)-forms, and
+3-forms of rank 6 or 7 that are stable, which Hitchin's quartic lambda
+(rank 6) and Bryant's bilinear form B (rank 7), both built from the 5-forms
+i_v phi ^ phi on integer coefficients, detect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 
@@ -28,6 +34,7 @@ from .exterior import (
 )
 from .linalg import (
     Scalar,
+    inertia_fraction,
     nullspace_rows,
     rank_rows,
     skew_pairs,
@@ -241,25 +248,147 @@ def stabilizer_algebra(phi: Form) -> StabAlgebra:
     return StabAlgebra(n=n, dim=len(flat), _flat=tuple(map(tuple, flat)), _free=tuple(free))
 
 
+ClosedForm = tuple[tuple[int, ...], int, tuple[int, int, int]]
+
+
+@lru_cache(maxsize=None)
+def _pair_wedges(r: int) -> dict[MultiIndex, tuple[tuple[MultiIndex, MultiIndex, int], ...]]:
+    """e^p ^ e^t on R^r for each pair p and each triple t disjoint from it.
+
+    Each entry is (t, s, sign), with s the (r-5)-index that p and t leave out
+    and e^s ^ e^p ^ e^t = sign e^{1..r}.
+    """
+    full = range(1, r + 1)
+    table = {}
+    for p in combinations(full, 2):
+        rows = []
+        for t in combinations([i for i in full if i not in p], 3):
+            s = tuple(i for i in full if i not in p and i not in t)
+            rows.append((t, s, normalize_index(s + p + t)[1]))
+        table[p] = tuple(rows)
+    return table
+
+
+def _psi_duals(
+    terms: list[tuple[MultiIndex, int]], r: int
+) -> tuple[list[dict[MultiIndex, int]], list[dict[MultiIndex, int]]]:
+    """i_{e_w} phi and the top pairings of psi_w = i_{e_w} phi ^ phi, w = 1..r.
+
+    terms are the integer terms of a 3-form phi on R^r, r = 6 or 7.  The
+    second list maps each (r-5)-index s to the coefficient of e^s ^ psi_w on
+    e^{1..r}; at r = 6 these are the coordinates, with their signs, of the
+    vector that poincare_inv dualizes psi_w to.
+    """
+    coeff = dict(terms)
+    cont: list[dict[MultiIndex, int]] = [{} for _ in range(r)]
+    for (a, b, c), x in terms:
+        cont[a - 1][b, c] = x
+        cont[b - 1][a, c] = -x
+        cont[c - 1][a, b] = x
+    table = _pair_wedges(r)
+    duals = []
+    for row in cont:
+        dual: dict[MultiIndex, int] = {}
+        for p, x in row.items():
+            for t, s, sign in table[p]:
+                y = coeff.get(t)
+                if y:
+                    dual[s] = dual.get(s, 0) + sign * x * y
+        duals.append(dual)
+    return cont, duals
+
+
+def _hitchin_trace(terms: list[tuple[MultiIndex, int]]) -> int:
+    """tr K^2 for the integer terms of a 3-form on R^6; 6 lambda up to a positive factor.
+
+    K[w][u] is the coefficient of e^u ^ psi_w on e^{1..6}.
+    """
+    _, duals = _psi_duals(terms, 6)
+    return sum(
+        x * duals[u - 1].get((w,), 0) for w, dual in enumerate(duals, 1) for (u,), x in dual.items()
+    )
+
+
+def _bryant_gram(terms: list[tuple[MultiIndex, int]]) -> list[list[int]]:
+    """B[v][w], the coefficient of i_v phi ^ i_w phi ^ phi on e^{1..7}, for a 3-form on R^7.
+
+    2-forms commute, so B is symmetric and only v <= w is summed.
+    """
+    cont, duals = _psi_duals(terms, 7)
+    B = [[0] * 7 for _ in range(7)]
+    for v in range(7):
+        for w in range(v, 7):
+            dual = duals[w]
+            B[v][w] = B[w][v] = sum(x * dual.get(p, 0) for p, x in cont[v].items())
+    return B
+
+
+def _stable_three_form(phi: Form) -> ClosedForm | None:
+    """Profile, stabilizer dimension and Killing signature of a stable 3-form on R^6 or R^7.
+
+    None when phi is not stable: lambda = 0 on R^6, det B = 0 on R^7.  A
+    positive scale c of the terms multiplies tr K^2 by c^4 and B by c^3, so
+    neither the sign nor the inertia moves (see classify.fingerprint).
+    """
+    terms = _integer_terms(phi)
+    if phi.n == 6:
+        t = _hitchin_trace(terms)
+        if not t:
+            return None
+        return (6, 6), 16, ((10, 6, 0) if t > 0 else (8, 8, 0))
+    p, q, z = inertia_fraction(_bryant_gram(terms))
+    if z:
+        return None
+    return (7, 7), 14, ((0, 14, 0) if not p or not q else (8, 6, 0))
+
+
+def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
+    """The fingerprint of phi_r as (profile, s_r, killing) when it needs no solve.
+
+    Derived in classify.fingerprint: decomposable forms (r = k), full-rank
+    (n-2)-forms and stable 3-forms of rank 6 or 7.  None for every other form.
+    """
+    n, k, r = red.original_n, red.reduced.k, red.r
+    if r == k:
+        profile = tuple(comb(k, j) for j in range(1, k))
+        return profile, k * k - 1, (k * (k + 1) // 2 - 1, k * (k - 1) // 2, 0)
+    if r == n and k == n - 2:
+        if ls is None:
+            ls = length_and_sign(red.reduced, VolumeForm(n))
+        l = ls.length
+        m = n - 2 * l
+        profile = tuple(
+            sum(min(comb(2 * l, a), comb(2 * l, a + 2)) * comb(m, j - a) for a in range(j + 1))
+            for j in range(1, k)
+        )
+        killing = (l * (l + 1) + m * (m + 1) // 2, l * l + m * (m - 1) // 2, 2 * l * m)
+        return profile, n * (n + 1) // 2 + m * (m - 1) // 2, killing
+    if k == 3 and r in (6, 7):
+        return _stable_three_form(red.reduced)
+    return None
+
+
 def _reduced_stabilizer(
     phi: Form, ls: LengthSign | None = None
-) -> tuple[Reduction | None, StabAlgebra | None, int, int | None]:
-    """The stabilizer algebra to solve for phi, the dimension of stab(phi), and l.
+) -> tuple[Reduction | None, StabAlgebra | None, int, ClosedForm | None]:
+    """The stabilizer algebra to solve for phi, the dimension of stab(phi), and phi_r's closed form.
 
     For phi of rank r >= 1, stab(phi) = (stab(phi_r) + gl(n - r)) x
     Hom(R^r, R^(n-r)) on the rank-r reduction phi_r (see classify.fingerprint),
     so this returns (reduce_form(phi), stabilizer_algebra(phi_r),
-    s_r + n(n - r), None) and solves only the r^2-column system.  Two kinds of
-    form solve nothing beyond the degree-1 system of reduce_form, and their
-    algebra is None:
+    s_r + n(n - r), None) and solves only the r^2-column system.  Three kinds
+    of form solve nothing beyond the degree-1 system of reduce_form
+    (_closed_form); their algebra is None and the fingerprint of phi_r,
+    (profile, s_r, killing), comes last:
 
-    * at r = k, phi_r is a top-degree form, whose stabilizer is sl(k), so
-      s_r = k^2 - 1;
+    * at r = k, phi_r is a top-degree form, whose stabilizer is sl(k);
     * a full-rank (n-2)-form has Martinet length l >= 2 (l <= 1 leaves a
-      kernel), read off its dual bivector by length_and_sign; with
-      m = n - 2l, stab(phi) has dimension n(n+1)/2 + m(m-1)/2, and l is
-      returned last.  A caller that already holds phi's LengthSign, under
-      any volume, passes it as ls, and the length is read from it instead.
+      kernel), read off its dual bivector by length_and_sign.  A caller that
+      already holds phi's LengthSign, under any volume, passes it as ls, and
+      the length is read from it instead;
+    * a 3-form of rank 6 with Hitchin's lambda != 0, or of rank 7 with
+      Bryant's B nondegenerate, is stable, and the sign of lambda or the
+      definiteness of B names its stabilizer.
 
     Zero forms and 0-forms return (None, stabilizer_algebra(phi), its
     dimension, None).
@@ -268,17 +397,12 @@ def _reduced_stabilizer(
         S = stabilizer_algebra(phi)
         return None, S, S.dim, None
     red = reduce_form(phi)
-    n, k = phi.n, phi.k
-    if red.r == k:
-        return red, None, k * k - 1 + n * (n - k), None
-    if red.r == n and k == n - 2:
-        if ls is None:
-            ls = length_and_sign(phi, VolumeForm(n))
-        l = ls.length
-        m = n - 2 * l
-        return red, None, n * (n + 1) // 2 + m * (m - 1) // 2, l
+    n, r = phi.n, red.r
+    closed = _closed_form(red, ls)
+    if closed is not None:
+        return red, None, closed[1] + n * (n - r), closed
     S = stabilizer_algebra(red.reduced)
-    return red, S, S.dim + n * (n - red.r), None
+    return red, S, S.dim + n * (n - r), None
 
 
 def orbit_dimension(phi: Form) -> int:

@@ -13,6 +13,7 @@ from math import comb
 import pytest
 
 from formlab import (
+    Fingerprint,
     Form,
     InnerProduct,
     LinMap,
@@ -23,6 +24,7 @@ from formlab import (
     catalog_entries,
     classify_codim_two,
     classify_two_form,
+    fingerprint,
     is_stable,
     killing_signature,
     musical_inv,
@@ -31,6 +33,7 @@ from formlab import (
     orientation_reversing_stabilizer_witness,
     poincare,
     rank,
+    rank_profile,
     reduce_form,
     sample_orbit_statistics,
     stabilizer_algebra,
@@ -217,6 +220,17 @@ def test_criterion_4_stable_dimension_table(capsys, histograms):
         elapsed,
         budget,
     )
+
+
+def test_criterion_4_and_9_draws_match_the_generic_path():
+    # fingerprint reads stable 3-forms on R^6 and R^7 off lambda and B, so
+    # the histograms of criteria 4 and 9 solve no stabilizer there; the
+    # generic path checks the first 40 of those same draws
+    for n in (6, 7):
+        for trial in range(40):
+            phi = random_form(n, 3, 9, trial_rng(SEED, trial))
+            S = stabilizer_algebra(phi)
+            assert fingerprint(phi) == Fingerprint(rank_profile(phi), S.dim, killing_signature(S))
 
 
 def test_criterion_5_stability_census(capsys):

@@ -290,6 +290,34 @@ def test_fingerprint_closed_form_of_codim_two_forms(data):
     _assert_codim_two_is_generic(act(g, Form(n, n - 2, terms)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fingerprint_closed_form_of_three_forms_of_rank_six_and_seven(data):
+    # lambda on R^6 and B on R^7 decide stab(phi_r), and the semisimple lift
+    # carries it to R^n; lambda = 0 and det B = 0 keep the solve
+    r = data.draw(st.sampled_from((6, 7)))
+    n = data.draw(st.integers(r, 9))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+    triples = list(combinations(range(1, r + 1), 3))
+    if data.draw(st.booleans()):
+        terms = {idx: data.draw(coeffs) for idx in triples}
+    else:
+        terms = data.draw(st.dictionaries(st.sampled_from(triples), coeffs, min_size=1, max_size=8))
+    rng = trial_rng(data.draw(st.integers(0, 2**16)), n)
+    g = random_gl(n, rng, det_sign=data.draw(st.sampled_from((1, -1))))
+    _assert_fingerprint_is_generic(act(g, Form(n, 3, terms)))
+
+
+@pytest.mark.parametrize(
+    "n, name", [(6, "elliptic-6"), (6, "split-2"), (7, "G2-tilde-7"), (7, "G2-compact-7")]
+)
+def test_fingerprint_closed_form_of_stable_catalog_forms(n, name):
+    rep = next(entry.representative for entry in catalog_entries(n, 3) if entry.name == name)
+    _assert_fingerprint_is_generic(rep)
+    _assert_fingerprint_is_generic(act(random_gl(n, trial_rng(68, n)), rep))
+    _assert_fingerprint_is_generic(Form(n + 2, 3, dict(rep.terms)))
+
+
 def test_fingerprint_block_path_on_degenerate_catalog():
     for n in range(1, 9):
         for k in range(1, n):
@@ -568,13 +596,13 @@ def test_classify_rejects_uncovered_dimension_before_invariants(monkeypatch):
     def no_stabilizer(phi):
         raise AssertionError("stabilizer computed for a form outside the catalog's range")
 
-    # the stabilizer is solved through invariants; e^{123} + e^{456} has rank
-    # 6 > 3, so its fingerprint would solve stab(phi_6)
+    # the stabilizer is solved through invariants; this 3-form has rank 6 and
+    # lambda = 0, so it is not stable and its fingerprint would solve stab(phi_6)
     invariants = importlib.import_module("formlab.invariants")
     monkeypatch.setattr(invariants, "stabilizer_algebra", no_stabilizer)
     n = MAX_DIMENSION + 1
     with pytest.raises(FormError):
-        classify(e(n, 1, 2, 3) + e(n, 4, 5, 6))
+        classify(e(n, 1, 2, 6) - e(n, 2, 3, 4) + e(n, 1, 3, 5))
 
 
 def test_classify_decomposable_solves_only_its_rank(monkeypatch):
@@ -603,6 +631,47 @@ def test_fingerprint_codim_two_solves_only_its_rank(monkeypatch):
     profile = tuple(min(comb(12, j), comb(12, j + 2)) for j in range(1, 10))
     assert fingerprint(phi) == Fingerprint(profile, 78, (42, 36, 0))
     assert orbit_dimension(phi) == 66 and is_stable(phi)
+
+
+def test_stable_three_forms_solve_only_their_rank(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a stable 3-form of rank 6 or 7 solved its stabilizer")
+
+    invariants = importlib.import_module("formlab.invariants")
+    monkeypatch.setattr(invariants, "stabilizer_algebra", no_solve)
+    catalog_entries.cache_clear()  # the (6,3) and (7,3) entries must build without a solve too
+    stable = [random_form(n, 3, 9, trial_rng(69, n)) for n in (6, 7)]
+    stable += [literature_form("G2-compact-7"), literature_form("elliptic-6")]
+    for t, phi in enumerate(list(stable)):
+        for n in (phi.n + 1, 9):
+            g = random_gl(n, trial_rng(70, 10 * t + n), det_sign=(-1) ** n)
+            stable.append(act(g, Form(n, 3, dict(phi.terms))))
+    for phi in stable:
+        report = classify(phi)
+        assert report.kind == "exact"
+        assert report.orbit_id.endswith(("split-2", "elliptic-6", "G2-tilde-7", "G2-compact-7"))
+        fp = fingerprint(phi)
+        assert orbit_dimension(phi) == phi.n**2 - fp.stab_dim
+        assert is_stable(phi) == (report.rank == phi.n)
+
+
+def test_unstable_three_forms_keep_the_solve(monkeypatch):
+    # lambda = 0 at rank 6 and det B = 0 at rank 7: the stabilizer is solved
+    invariants = importlib.import_module("formlab.invariants")
+    solved = []
+
+    def counting(phi):
+        solved.append(phi.n)
+        return stabilizer_algebra(phi)
+
+    monkeypatch.setattr(invariants, "stabilizer_algebra", counting)
+    lam_zero = e(6, 1, 2, 6) - e(6, 2, 3, 4) + e(6, 1, 3, 5)
+    rep = classify(lam_zero)
+    assert (rep.kind, rep.fingerprint) == ("unknown", Fingerprint((6, 6), 17, (6, 3, 8)))
+    b_degenerate = e(7, 1, 2, 3) + e(7, 1, 4, 5) + e(7, 1, 6, 7)
+    rep = classify(b_degenerate)
+    assert (rep.kind, rep.fingerprint) == ("unknown", Fingerprint((7, 7), 28, (13, 9, 6)))
+    assert solved == [6, 7]
 
 
 def test_classify_reduction_recursion_inflates_canonical():

@@ -1,14 +1,18 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from formlab import Form, LinMap, Polyvector, act
-from formlab.cli import main
+from formlab.cli import EXIT_PIPE, main
 from formlab.docio import element_to_document
 from formlab.linalg import skew_pairs
+from formlab.sampling import random_form, random_gl, trial_rng
 
 from conftest import det_gauss, evaluate_form
 
@@ -320,6 +324,48 @@ def test_invariants_codim_two_reads_martinet_length_once(tmp_path, capsys, monke
     assert inv["length_sign"] == {"length": 4, "lambda": "-1", "sign": 1}
     assert inv["stabilizer"]["dim"] == 36
     assert len(calls) == 1
+
+
+def test_invariants_of_stable_three_forms_solve_no_stabilizer(tmp_path, capsys, monkeypatch):
+    # lambda (rank 6) and B (rank 7) give the stabilizer in closed form,
+    # also for the form embedded in a larger R^n
+    def no_solve(*args):
+        raise AssertionError("a stable 3-form of rank 6 or 7 solved its stabilizer")
+
+    monkeypatch.setattr(importlib.import_module("formlab.invariants"), "stabilizer_algebra", no_solve)
+    for r, stab in ((6, 16), (7, 14)):
+        phi = random_form(r, 3, 9, trial_rng(71, r))
+        for n in (r, r + 2):
+            moved = act(random_gl(n, trial_rng(72, n)), Form(n, 3, dict(phi.terms)))
+            path = write_doc(tmp_path, element_to_document(moved))
+            code, out, _ = run(capsys, ["invariants", path, "--format", "structured"])
+            assert code == 0
+            inv = json.loads(out)["invariants"]
+            assert inv["rank"] == r
+            assert inv["stabilizer"]["dim"] == stab + n * (n - r)
+            assert inv["stabilizer"]["stable"] == (n == r)
+            assert inv["fingerprint"]["rank_profile"] == [r, r]
+
+
+def test_closed_stdout_exits_quietly():
+    # `formlab catalog 12 10 | true`: the reader has gone before the report
+    # is written, so the write meets a broken pipe
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(importlib.import_module("formlab").__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "formlab", "catalog", "12", "10"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert proc.stderr == b""
 
 
 def test_invariants_of_zero_form_and_scalar(tmp_path, capsys):

@@ -16,6 +16,7 @@ from formlab import (
     VolumeForm,
     act,
     act_vectors,
+    catalog_entries,
     infinitesimal_act,
     interior,
     is_multisymplectic,
@@ -34,9 +35,11 @@ from formlab import (
     stabilizer_algebra,
     wedge,
 )
-from formlab.sampling import random_gl, random_nonzero_form, trial_rng
+from formlab.invariants import _bryant_gram, _hitchin_trace, _integer_terms
+from formlab.linalg import inertia_fraction
+from formlab.sampling import random_form, random_gl, random_nonzero_form, trial_rng
 
-from conftest import nullspace_oracle, pfaffian_oracle, rref_rank
+from conftest import literature_form, nullspace_oracle, pfaffian_oracle, rref_rank
 
 
 def e(n, *idx):
@@ -356,3 +359,80 @@ def test_orientation_reversing_witness():
     assert z.det == -1
     with pytest.raises(FormError):
         orientation_reversing_stabilizer_witness(e(4, 1, 2) + e(4, 3, 4))
+
+
+# ------------------------------------------ Hitchin's lambda and Bryant's B
+
+
+def _contractions(phi):
+    return [interior(Polyvector.basis(phi.n, (v,)), phi) for v in range(1, phi.n + 1)]
+
+
+def hitchin_trace_oracle(phi):
+    """tr K^2 with K(v) the vector poincare_inv dualizes i_v phi ^ phi to."""
+    omega = VolumeForm(6)
+    K = [poincare_inv(omega, wedge(c, phi)).coords() for c in _contractions(phi)]
+    return sum(K[w][u] * K[u][w] for w in range(6) for u in range(6))
+
+
+def bryant_gram_oracle(phi):
+    cont = _contractions(phi)
+    top = tuple(range(1, 8))
+    return [[wedge(wedge(a, b), phi).coeff(top) for b in cont] for a in cont]
+
+
+def bryant_inertia(phi):
+    return inertia_fraction(_bryant_gram(_integer_terms(phi)))
+
+
+def _three_form(data, n):
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+    index = st.sampled_from(list(combinations(range(1, n + 1), 3)))
+    return Form(n, 3, data.draw(st.dictionaries(index, coeffs, min_size=1, max_size=comb(n, 3))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_hitchin_trace_matches_poincare_oracle(data):
+    # _integer_terms scales by c > 0, which multiplies tr K^2 by c^4
+    phi = _three_form(data, 6)
+    terms = _integer_terms(phi)
+    c = terms[0][1] / phi.terms[terms[0][0]]
+    assert _hitchin_trace(terms) == c**4 * hitchin_trace_oracle(phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bryant_gram_matches_wedge_oracle(data):
+    # B scales by c^3
+    phi = _three_form(data, 7)
+    terms = _integer_terms(phi)
+    c = terms[0][1] / phi.terms[terms[0][0]]
+    assert _bryant_gram(terms) == [[c**3 * x for x in row] for row in bryant_gram_oracle(phi)]
+
+
+def test_hitchin_and_bryant_on_the_catalog():
+    # lambda = tr K^2 / 6: 1 for split type, -4 for elliptic, 0 off rank 6
+    for name, lam in (("split-2", 1), ("elliptic-6", -4), ("decomposable", 0)):
+        rep = next(entry.representative for entry in catalog_entries(6, 3) if entry.name == name)
+        assert _hitchin_trace(_integer_terms(rep)) == 6 * lam
+    phi = e(6, 1, 2, 6) - e(6, 2, 3, 4) + e(6, 1, 3, 5)  # rank 6, lambda = 0
+    assert rank(phi) == 6 and _hitchin_trace(_integer_terms(phi)) == 0
+    # B is definite on the compact form, of signature (3, 4) on the split one
+    assert bryant_inertia(literature_form("G2-compact-7")) == (7, 0, 0)
+    assert bryant_inertia(literature_form("G2-tilde-7")) == (3, 4, 0)
+    assert bryant_inertia(e(7, 1, 2, 3) + e(7, 1, 4, 5) + e(7, 1, 6, 7))[2] > 0
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_hitchin_and_bryant_signs_are_action_invariant(n):
+    # g multiplies tr K^2 by det(g)^-2, and B by det(g)^-1 up to congruence
+    for t in range(6):
+        phi = random_form(n, 3, 9, trial_rng(66, t))
+        moved = act(random_gl(n, trial_rng(67, t), det_sign=(-1) ** t), phi)
+        if n == 6:
+            a, b = (_hitchin_trace(_integer_terms(x)) for x in (phi, moved))
+            assert a and (a > 0) == (b > 0)
+        else:
+            (p, q, z), (pm, qm, zm) = map(bryant_inertia, (phi, moved))
+            assert z == zm == 0 and {p, q} == {pm, qm}
