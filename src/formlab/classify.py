@@ -12,11 +12,12 @@ every R^n it is embedded in.  Only a full-rank form is matched against the
 has a closed-form fingerprint and, off degrees 2 and n - 2, is named by the
 (k, k) catalog, which covers every k.  A full-rank (n-2)-form has one too, a
 function of n and Martinet's length alone, so fingerprint solves no
-stabilizer for it.  So has a stable 3-form of rank 6 or 7, on any R^n: the
-sign of Hitchin's lambda (rank 6) or the definiteness of Bryant's bilinear
-form B (rank 7) names its stabilizer.  Forms the catalog cannot settle come
-back `unknown` with their invariants still reported.  Every verdict is an
-OrbitReport that names only the fields it sets.
+stabilizer for it.  So has a stable 3-form of rank 6, 7 or 8, on any R^n:
+the sign of Hitchin's lambda (rank 6), the definiteness of Bryant's bilinear
+form B (rank 7) or the inertia of a sextic form Q (rank 8, with stability
+certified modulo a prime) names its stabilizer.  Forms the catalog cannot
+settle come back `unknown` with their invariants still reported.  Every
+verdict is an OrbitReport that names only the fields it sets.
 """
 
 from __future__ import annotations
@@ -272,6 +273,41 @@ def fingerprint(phi: Form) -> Fingerprint:
     * lambda = 0 at rank 6 (an orbit the catalog lacks) and det B = 0 at
       rank 7 are not stable, and keep the solve.
 
+    A stable 3-form of rank 8 solves nothing beyond its rank either, though
+    here a certificate, not the invariant, decides stability.
+
+    * GL(8, R) has three open orbits on Lambda^3 R^8 (Djokovic, Lin.
+      Multilin. Alg. 13, 1983; Hitchin, "Stable forms and special metrics",
+      2001).  Each holds the Cartan form K(X, [Y, Z]) of a real form of
+      sl(3, C) on its 8-dimensional Lie algebra g: sl(3, R), su(2, 1) or
+      su(3).  Its stabilizer is ad(g), of dimension 8 = 64 - 56.
+    * Let M_x[u][z] be the coefficient of e^u ^ i_z phi ^ i_x phi ^ phi on
+      e^{1..8}, so that column z of M_x is the vector poincare_inv dualizes
+      the 7-form i_x phi ^ i_z phi ^ phi to, and set Q(x, y) = tr(M_x M_y).
+      That 7-form is a vector times the volume form, so M_x is an
+      endomorphism times one factor of Lambda^8, and Q is a symmetric
+      bilinear form times two such factors.  g in GL therefore changes Q
+      by a congruence and by det(g)^-2 > 0, and a scale c > 0 of the terms
+      multiplies it by c^6, so Q's inertia is an orbit invariant.
+    * On the Cartan forms (tests/conftest.py), Q has inertia (5, 3, 0) for
+      sl(3, R), (4, 4, 0) for su(2, 1) and (8, 0, 0) for su(3).  These are
+      distinct, so Q names the open orbit, and the Killing signature is that
+      of the real form: (5, 3, 0), (4, 4, 0) and (0, 8, 0).  Q is not the
+      Killing form: on the compact orbit the two have opposite signs, so the
+      map is read off the representatives.
+    * Q does not certify stability; no theorem here says which degenerate
+      orbits have det Q != 0.  The stabilizer system (at most 56 rows, 64
+      columns) does: its rank modulo a prime never exceeds its rank over Q,
+      so full row rank 56 modulo _P gives stab = 8 exactly, and phi lies in
+      an open orbit.  A Q of any other inertia, or a rank short of 56,
+      keeps the solve; e^123 + e^456 + e^178, with Q of inertia (1, 0, 7),
+      is one such form.
+    * Stable means full rank, so profile = (8, 8).  stab(phi_8) = ad(g) is
+      simple and acts on R^8 = g by its adjoint representation, so
+      T(X, Y) = tr(ad X ad Y) = K_8 and tau = 0.  The block r K_r + r m T
+      is 8(1 + m) K_8, and the lift is the one above: stab_dim = 8 + n m,
+      killing = K_8's inertia + (m(m+1)/2, m(m-1)/2, 8 m).
+
     Other full-rank forms solve phi itself, without a second degree-1 solve
     for the first rank; zero forms and 0-forms keep the stabilizer of phi.
     Every solved rank profile stops at j = k/2 (_mirror).
@@ -441,7 +477,8 @@ def _component_count(rep: Form) -> tuple[int | None, str]:
         return 1, "zero form"
     if k >= 1 and rank(rep) < n:
         return 1, "degenerate: kernel reflection reverses orientation"
-    if k >= 1 and n % k == 0:
+    # phi ^ phi = 0 for odd k, so only an even k or k = n has a nonzero top power
+    if k >= 1 and n % k == 0 and (k % 2 == 0 or n == k):
         m = n // k
         power = rep
         for _ in range(m - 1):

@@ -5,9 +5,12 @@ contraction operator L_phi, its kernel, the stabilizer algebra inside
 gl(n, Q), and the length/sign data of codimension-two forms.  Three kinds of
 form get the dimension of their stabilizer without solving for it
 (_reduced_stabilizer): decomposable forms, full-rank (n-2)-forms, and
-3-forms of rank 6 or 7 that are stable, which Hitchin's quartic lambda
-(rank 6) and Bryant's bilinear form B (rank 7), both built from the 5-forms
-i_v phi ^ phi on integer coefficients, detect.
+3-forms of rank 6, 7 or 8 that are stable.  One integer kernel builds the
+5-forms i_v phi ^ phi on integer coefficients, and from them Hitchin's
+quartic lambda (rank 6), Bryant's bilinear form B (rank 7) and a sextic
+bilinear form Q (rank 8).  lambda and B detect stability themselves; at rank
+8 full row rank of the stabilizer system modulo a prime certifies it, and
+the inertia of Q names the orbit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
+from operator import mul
 
 from .exterior import (
     DegreeError,
@@ -34,6 +38,7 @@ from .exterior import (
 )
 from .linalg import (
     Scalar,
+    _rank_mod_p,
     inertia_fraction,
     nullspace_rows,
     rank_rows,
@@ -228,74 +233,151 @@ class StabAlgebra:
         return tuple(LinMap([v[r * n : (r + 1) * n] for r in range(n)]) for v in self._flat)
 
 
+def _stabilizer_rows(terms: list[tuple[MultiIndex, int]], n: int) -> tuple[list[list[int]], int]:
+    """Integer matrix of A -> infinitesimal_act(A, phi) on R^n, and its column count n^2.
+
+    terms are the integer terms of phi (_integer_terms).  Column (i-1)*n +
+    (b-1) is the entry A[i][b]; rows are the multi-indices that occur, in no
+    fixed order.  A[i][b] moves e^idx to e^(idx with b in slot p of i).
+    That is zero when b is another index of idx; otherwise b sorts into gap q
+    of the indices that remain, which takes |p - q| transpositions.
+    """
+    cols = n * n
+    rows: dict[MultiIndex, list[int]] = {}
+    for idx, c in terms:
+        for p, i in enumerate(idx):
+            rest = idx[:p] + idx[p + 1 :]
+            bounds = (0,) + rest + (n + 1,)
+            col = (i - 1) * n - 1
+            for q in range(len(idx)):
+                head, tail = rest[:q], rest[q:]
+                x = c if (p - q) % 2 else -c
+                for b in range(bounds[q] + 1, bounds[q + 1]):
+                    jdx = head + (b,) + tail
+                    row = rows.get(jdx)
+                    if row is None:
+                        row = rows[jdx] = [0] * cols
+                    row[col + b] += x
+    return list(rows.values()), cols
+
+
 def stabilizer_algebra(phi: Form) -> StabAlgebra:
     """Nullspace of A -> infinitesimal_act(A, phi), built on phi scaled to integers."""
     n = phi.n
-    cols = n * n
-    rows: dict[MultiIndex, list[int]] = {}
-    for idx, c in _integer_terms(phi):
-        for p, i in enumerate(idx):
-            for b in range(1, n + 1):
-                norm = normalize_index(idx[:p] + (b,) + idx[p + 1 :])
-                if norm is None:
-                    continue
-                jdx, sign = norm
-                row = rows.get(jdx)
-                if row is None:
-                    row = rows[jdx] = [0] * cols
-                row[(i - 1) * n + (b - 1)] -= sign * c
-    flat, free = nullspace_rows(list(rows.values()), cols)
+    flat, free = nullspace_rows(*_stabilizer_rows(_integer_terms(phi), n))
     return StabAlgebra(n=n, dim=len(flat), _flat=tuple(map(tuple, flat)), _free=tuple(free))
 
 
 ClosedForm = tuple[tuple[int, ...], int, tuple[int, int, int]]
 
 
-@lru_cache(maxsize=None)
-def _pair_wedges(r: int) -> dict[MultiIndex, tuple[tuple[MultiIndex, MultiIndex, int], ...]]:
-    """e^p ^ e^t on R^r for each pair p and each triple t disjoint from it.
+# Parallel lists of pair positions, triple positions and signs.
+Splits = tuple[list[int], list[int], list[int]]
 
-    Each entry is (t, s, sign), with s the (r-5)-index that p and t leave out
-    and e^s ^ e^p ^ e^t = sign e^{1..r}.
+
+@lru_cache(maxsize=None)
+def _top_pairings(
+    r: int,
+) -> tuple[dict[MultiIndex, int], dict[MultiIndex, int], tuple[Splits, ...]]:
+    """Index tables for 3-forms on R^r, with pairs and triples numbered lexicographically.
+
+    Returns the positions of the pairs and of the triples, and for each
+    (r-5)-index s, in lexicographic order, the pairs p and triples t that
+    split the rest of 1..r (as positions) with the signs of
+    e^s ^ e^p ^ e^t on e^{1..r}.
     """
     full = range(1, r + 1)
-    table = {}
-    for p in combinations(full, 2):
-        rows = []
-        for t in combinations([i for i in full if i not in p], 3):
-            s = tuple(i for i in full if i not in p and i not in t)
-            rows.append((t, s, normalize_index(s + p + t)[1]))
-        table[p] = tuple(rows)
-    return table
+    pair_at = {p: i for i, p in enumerate(combinations(full, 2))}
+    triple_at = {t: i for i, t in enumerate(combinations(full, 3))}
+    table = []
+    for s in combinations(full, r - 5):
+        rest = [i for i in full if i not in s]
+        splits = [(p, tuple(i for i in rest if i not in p)) for p in combinations(rest, 2)]
+        table.append(
+            (
+                [pair_at[p] for p, _ in splits],
+                [triple_at[t] for _, t in splits],
+                [normalize_index(s + p + t)[1] for p, t in splits],
+            )
+        )
+    return pair_at, triple_at, tuple(table)
 
 
 def _psi_duals(
     terms: list[tuple[MultiIndex, int]], r: int
-) -> tuple[list[dict[MultiIndex, int]], list[dict[MultiIndex, int]]]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """i_{e_w} phi and the top pairings of psi_w = i_{e_w} phi ^ phi, w = 1..r.
 
-    terms are the integer terms of a 3-form phi on R^r, r = 6 or 7.  The
-    second list maps each (r-5)-index s to the coefficient of e^s ^ psi_w on
-    e^{1..r}; at r = 6 these are the coordinates, with their signs, of the
-    vector that poincare_inv dualizes psi_w to.
+    terms are the integer terms of a 3-form phi on R^r, r = 6, 7 or 8.  The
+    first list holds the coefficients of the 2-forms i_{e_w} phi, pairs in
+    lexicographic order; the second the coefficient of e^s ^ psi_w on
+    e^{1..r} for each (r-5)-index s, in lexicographic order.  At r = 6 these
+    are the coordinates, with their signs, of the vector that poincare_inv
+    dualizes psi_w to.
     """
-    coeff = dict(terms)
-    cont: list[dict[MultiIndex, int]] = [{} for _ in range(r)]
+    pair_at, triple_at, table = _top_pairings(r)
+    cont = [[0] * len(pair_at) for _ in range(r)]
+    coeff = [0] * len(triple_at)
     for (a, b, c), x in terms:
-        cont[a - 1][b, c] = x
-        cont[b - 1][a, c] = -x
-        cont[c - 1][a, b] = x
-    table = _pair_wedges(r)
-    duals = []
-    for row in cont:
-        dual: dict[MultiIndex, int] = {}
-        for p, x in row.items():
-            for t, s, sign in table[p]:
-                y = coeff.get(t)
-                if y:
-                    dual[s] = dual.get(s, 0) + sign * x * y
-        duals.append(dual)
+        cont[a - 1][pair_at[b, c]] = x
+        cont[b - 1][pair_at[a, c]] = -x
+        cont[c - 1][pair_at[a, b]] = x
+        coeff[triple_at[a, b, c]] = x
+    # psi_w on e^s: sum of sign * (i_{e_w} phi)_p * phi_t over the splits (p, t)
+    signed = [[sign * coeff[t] for t, sign in zip(ts, signs)] for _, ts, signs in table]
+    duals = [
+        [sum(map(mul, map(row.__getitem__, ps), y)) for (ps, _, _), y in zip(table, signed)]
+        for row in cont
+    ]
     return cont, duals
+
+
+@lru_cache(maxsize=None)
+def _vector_wedges(r: int) -> tuple[Splits, ...]:
+    """e^u ^ e^p on R^r for u = 1..r: the pairs p without u, the triples s
+    that u and p make (as positions), and the signs of e^u ^ e^p = sign e^s."""
+    pair_at, triple_at, _ = _top_pairings(r)
+    table = []
+    for u in range(1, r + 1):
+        wedges = [(p, *normalize_index((u,) + p)) for p in pair_at if u not in p]
+        table.append(
+            (
+                [pair_at[p] for p, _, _ in wedges],
+                [triple_at[s] for _, s, _ in wedges],
+                [sign for _, _, sign in wedges],
+            )
+        )
+    return tuple(table)
+
+
+def _sextic_gram(terms: list[tuple[MultiIndex, int]]) -> list[list[int]]:
+    """Q[x][y] = tr(M_x M_y) for the integer terms of a 3-form on R^8.
+
+    M_x[u][z] is the coefficient of e^u ^ i_{e_z} phi ^ psi_x on e^{1..8}:
+    column z of M_x is, with the sign of poincare_inv, the vector dual to
+    the 7-form i_{e_x} phi ^ i_{e_z} phi ^ phi.  2-forms commute, so
+    M_x[u][z] = M_z[u][x] and only x <= z is summed.  Q is symmetric and
+    sextic in the coefficients.
+    """
+    cont, duals = _psi_duals(terms, 8)
+    table = _vector_wedges(8)
+    # (i_{e_z} phi)_p and sign * (psi_x dual)_{u+p} over the pairs p without u
+    picked = [[[row[p] for p in ps] for ps, _, _ in table] for row in cont]
+    signed = [
+        [[sign * dual[s] for s, sign in zip(ss, signs)] for _, ss, signs in table] for dual in duals
+    ]
+    # M[x][z * 8 + u] = M_x[u][z]
+    M = [[0] * 64 for _ in range(8)]
+    for x in range(8):
+        for z in range(x, 8):
+            for u in range(8):
+                M[x][z * 8 + u] = M[z][x * 8 + u] = sum(map(mul, signed[x][u], picked[z][u]))
+    transposed = [[y for u in range(8) for y in row[u::8]] for row in M]
+    Q = [[0] * 8 for _ in range(8)]
+    for x in range(8):
+        for y in range(x + 1):
+            Q[x][y] = Q[y][x] = sum(map(mul, M[x], transposed[y]))
+    return Q
 
 
 def _hitchin_trace(terms: list[tuple[MultiIndex, int]]) -> int:
@@ -303,10 +385,8 @@ def _hitchin_trace(terms: list[tuple[MultiIndex, int]]) -> int:
 
     K[w][u] is the coefficient of e^u ^ psi_w on e^{1..6}.
     """
-    _, duals = _psi_duals(terms, 6)
-    return sum(
-        x * duals[u - 1].get((w,), 0) for w, dual in enumerate(duals, 1) for (u,), x in dual.items()
-    )
+    _, K = _psi_duals(terms, 6)
+    return sum(K[w][u] * K[u][w] for w in range(6) for u in range(6))
 
 
 def _bryant_gram(terms: list[tuple[MultiIndex, int]]) -> list[list[int]]:
@@ -318,17 +398,24 @@ def _bryant_gram(terms: list[tuple[MultiIndex, int]]) -> list[list[int]]:
     B = [[0] * 7 for _ in range(7)]
     for v in range(7):
         for w in range(v, 7):
-            dual = duals[w]
-            B[v][w] = B[w][v] = sum(x * dual.get(p, 0) for p, x in cont[v].items())
+            B[v][w] = B[w][v] = sum(map(mul, cont[v], duals[w]))
     return B
 
 
-def _stable_three_form(phi: Form) -> ClosedForm | None:
-    """Profile, stabilizer dimension and Killing signature of a stable 3-form on R^6 or R^7.
+# The Killing inertia of stab(phi) for each inertia of Q that an open orbit
+# of 3-forms on R^8 has, read off the Cartan forms of sl(3, R), su(2, 1) and
+# su(3) (see classify.fingerprint).
+_SEXTIC_KILLING = {(5, 3, 0): (5, 3, 0), (4, 4, 0): (4, 4, 0), (8, 0, 0): (0, 8, 0)}
 
-    None when phi is not stable: lambda = 0 on R^6, det B = 0 on R^7.  A
-    positive scale c of the terms multiplies tr K^2 by c^4 and B by c^3, so
-    neither the sign nor the inertia moves (see classify.fingerprint).
+
+def _stable_three_form(phi: Form) -> ClosedForm | None:
+    """Profile, stabilizer dimension and Killing signature of a stable 3-form on R^6, R^7 or R^8.
+
+    None when phi is not stable, or not certified to be: lambda = 0 on R^6,
+    det B = 0 on R^7; on R^8 a Q of any inertia but the three of the open
+    orbits, or a stabilizer system short of full row rank modulo _P.  A
+    positive scale c of the terms multiplies tr K^2 by c^4, B by c^3 and Q by
+    c^6, so neither the sign nor the inertia moves (see classify.fingerprint).
     """
     terms = _integer_terms(phi)
     if phi.n == 6:
@@ -336,6 +423,12 @@ def _stable_three_form(phi: Form) -> ClosedForm | None:
         if not t:
             return None
         return (6, 6), 16, ((10, 6, 0) if t > 0 else (8, 8, 0))
+    if phi.n == 8:
+        killing = _SEXTIC_KILLING.get(inertia_fraction(_sextic_gram(terms)))
+        # stab = 64 - 56 exactly when the 56 x 64 system has full row rank
+        if killing is None or _rank_mod_p(*_stabilizer_rows(terms, 8)) != 56:
+            return None
+        return (8, 8), 8, killing
     p, q, z = inertia_fraction(_bryant_gram(terms))
     if z:
         return None
@@ -346,7 +439,8 @@ def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
     """The fingerprint of phi_r as (profile, s_r, killing) when it needs no solve.
 
     Derived in classify.fingerprint: decomposable forms (r = k), full-rank
-    (n-2)-forms and stable 3-forms of rank 6 or 7.  None for every other form.
+    (n-2)-forms and stable 3-forms of rank 6, 7 or 8.  None for every other
+    form, and for a stable rank-8 form that the certificate misses.
     """
     n, k, r = red.original_n, red.reduced.k, red.r
     if r == k:
@@ -363,7 +457,7 @@ def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
         )
         killing = (l * (l + 1) + m * (m + 1) // 2, l * l + m * (m - 1) // 2, 2 * l * m)
         return profile, n * (n + 1) // 2 + m * (m - 1) // 2, killing
-    if k == 3 and r in (6, 7):
+    if k == 3 and r in (6, 7, 8):
         return _stable_three_form(red.reduced)
     return None
 
@@ -388,7 +482,9 @@ def _reduced_stabilizer(
       the length is read from it instead;
     * a 3-form of rank 6 with Hitchin's lambda != 0, or of rank 7 with
       Bryant's B nondegenerate, is stable, and the sign of lambda or the
-      definiteness of B names its stabilizer.
+      definiteness of B names its stabilizer;
+    * a 3-form of rank 8 whose stabilizer system has full row rank modulo
+      _P is stable, and the inertia of Q names its stabilizer.
 
     Zero forms and 0-forms return (None, stabilizer_algebra(phi), its
     dimension, None).

@@ -303,6 +303,24 @@ def literature_form(name: str) -> Form:
     raise KeyError(name)
 
 
+# The Cartan 3-forms K(X, [Y, Z]) of the three real forms of sl(3, C), with
+# K(X, Y) = 6 tr(XY), on the bases that test_invariants builds them from:
+# each is fixed by its algebra acting on R^8 by the adjoint representation,
+# and they represent the three open GL(8, R)-orbits on 3-forms.
+CARTAN_FORMS = {
+    "sl3R": {(1, 3, 6): 12, (1, 4, 7): 6, (1, 5, 8): -6, (2, 3, 6): -6,
+             (2, 4, 7): 6, (2, 5, 8): 12, (3, 5, 7): 6, (4, 6, 8): -6},
+    "su21": {(1, 3, 4): -24, (1, 5, 6): 12, (1, 7, 8): -12, (2, 3, 4): 12, (2, 5, 6): 12,
+             (2, 7, 8): 24, (3, 5, 7): -12, (3, 6, 8): -12, (4, 5, 8): 12, (4, 6, 7): -12},
+    "su3": {(1, 3, 4): -24, (1, 5, 6): -12, (1, 7, 8): 12, (2, 3, 4): 12, (2, 5, 6): -12,
+            (2, 7, 8): -24, (3, 5, 7): 12, (3, 6, 8): 12, (4, 5, 8): -12, (4, 6, 7): 12},
+}
+
+
+def cartan_form(name: str) -> Form:
+    return Form(8, 3, CARTAN_FORMS[name])
+
+
 def random_int_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 

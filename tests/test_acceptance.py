@@ -223,10 +223,10 @@ def test_criterion_4_stable_dimension_table(capsys, histograms):
 
 
 def test_criterion_4_and_9_draws_match_the_generic_path():
-    # fingerprint reads stable 3-forms on R^6 and R^7 off lambda and B, so
-    # the histograms of criteria 4 and 9 solve no stabilizer there; the
-    # generic path checks the first 40 of those same draws
-    for n in (6, 7):
+    # fingerprint reads stable 3-forms on R^6, R^7 and R^8 off lambda, B
+    # and Q, so the histograms of criteria 4 and 9 solve no stabilizer
+    # there; the generic path checks the first 40 of those same draws
+    for n in (6, 7, 8):
         for trial in range(40):
             phi = random_form(n, 3, 9, trial_rng(SEED, trial))
             S = stabilizer_algebra(phi)

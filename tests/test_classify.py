@@ -36,9 +36,18 @@ from formlab.classify import (
     _killing_gram,
     _martinet_form,
 )
+from formlab.invariants import _integer_terms, _sextic_gram
+from formlab.linalg import inertia_fraction
 from formlab.sampling import random_form, random_gl, trial_rng
 
-from conftest import killing_gram_oracle, literature_form, random_int_matrix, rank_profile_oracle
+from conftest import (
+    CARTAN_FORMS,
+    cartan_form,
+    killing_gram_oracle,
+    literature_form,
+    random_int_matrix,
+    rank_profile_oracle,
+)
 
 
 def e(n, *idx):
@@ -316,6 +325,33 @@ def test_fingerprint_closed_form_of_stable_catalog_forms(n, name):
     _assert_fingerprint_is_generic(rep)
     _assert_fingerprint_is_generic(act(random_gl(n, trial_rng(68, n)), rep))
     _assert_fingerprint_is_generic(Form(n + 2, 3, dict(rep.terms)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fingerprint_closed_form_of_three_forms_of_rank_eight(data):
+    # Q's inertia and the certificate mod p decide stab(phi_8), and the
+    # semisimple lift carries it to R^9 and R^10; the rest keeps the solve
+    n = data.draw(st.integers(8, 10))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+    triples = list(combinations(range(1, 9), 3))
+    if data.draw(st.booleans()):
+        terms = {idx: data.draw(coeffs) for idx in triples}
+    else:
+        terms = data.draw(st.dictionaries(st.sampled_from(triples), coeffs, min_size=1, max_size=12))
+    phi = Form(n, 3, terms)
+    if data.draw(st.booleans()):
+        rng = trial_rng(data.draw(st.integers(0, 2**16)), n)
+        phi = act(random_gl(n, rng, det_sign=data.draw(st.sampled_from((1, -1)))), phi)
+    _assert_fingerprint_is_generic(phi)
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN_FORMS))
+def test_fingerprint_closed_form_of_cartan_forms(name):
+    rep = cartan_form(name)
+    _assert_fingerprint_is_generic(rep)
+    _assert_fingerprint_is_generic(act(random_gl(8, trial_rng(75, len(name))), rep))
+    _assert_fingerprint_is_generic(Form(10, 3, dict(rep.terms)))
 
 
 def test_fingerprint_block_path_on_degenerate_catalog():
@@ -655,6 +691,30 @@ def test_stable_three_forms_solve_only_their_rank(monkeypatch):
         assert is_stable(phi) == (report.rank == phi.n)
 
 
+def test_stable_three_forms_of_rank_eight_solve_only_their_rank(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a stable 3-form of rank 8 solved its stabilizer")
+
+    monkeypatch.setattr(importlib.import_module("formlab.invariants"), "stabilizer_algebra", no_solve)
+    catalog_entries.cache_clear()
+    stable = [cartan_form(name) for name in CARTAN_FORMS]
+    stable += [random_form(8, 3, 9, trial_rng(76, t)) for t in range(3)]
+    for t, phi in enumerate(list(stable)):
+        for n in (9, 10):
+            g = random_gl(n, trial_rng(77, 10 * t + n), det_sign=(-1) ** t)
+            stable.append(act(g, Form(n, 3, dict(phi.terms))))
+    for phi in stable:
+        n, m = phi.n, phi.n - 8
+        report = classify(phi)
+        # the (8,3) catalog has no open orbit yet
+        assert (report.kind, report.rank) == ("unknown", 8)
+        fp = fingerprint(phi)
+        assert fp.rank_profile == (8, 8) and fp.stab_dim == 8 + n * m
+        assert report.fingerprint == fp
+        assert orbit_dimension(phi) == n * n - fp.stab_dim
+        assert is_stable(phi) == (m == 0)
+
+
 def test_unstable_three_forms_keep_the_solve(monkeypatch):
     # lambda = 0 at rank 6 and det B = 0 at rank 7: the stabilizer is solved
     invariants = importlib.import_module("formlab.invariants")
@@ -671,7 +731,27 @@ def test_unstable_three_forms_keep_the_solve(monkeypatch):
     b_degenerate = e(7, 1, 2, 3) + e(7, 1, 4, 5) + e(7, 1, 6, 7)
     rep = classify(b_degenerate)
     assert (rep.kind, rep.fingerprint) == ("unknown", Fingerprint((7, 7), 28, (13, 9, 6)))
-    assert solved == [6, 7]
+    # a degenerate Q on R^8
+    q_degenerate = e(8, 1, 2, 3) + e(8, 4, 5, 6) + e(8, 1, 7, 8)
+    assert inertia_fraction(_sextic_gram(_integer_terms(q_degenerate))) == (1, 0, 7)
+    rep = classify(q_degenerate)
+    assert (rep.kind, rep.fingerprint) == ("unknown", Fingerprint((8, 8), 23, (12, 7, 4)))
+    assert solved == [6, 7, 8]
+
+
+def test_catalog_of_odd_degree_takes_no_wedge(monkeypatch):
+    # phi ^ phi = 0 for odd k: a cold (6,3) build takes no top power
+    classify_module = importlib.import_module("formlab.classify")
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return wedge(a, b)
+
+    monkeypatch.setattr(classify_module, "wedge", counting)
+    catalog_entries.cache_clear()
+    assert [entry.components for entry in catalog_entries(6, 3)] == [1, 1, 1]
+    assert calls == []
 
 
 def test_classify_reduction_recursion_inflates_canonical():

@@ -327,13 +327,14 @@ def test_invariants_codim_two_reads_martinet_length_once(tmp_path, capsys, monke
 
 
 def test_invariants_of_stable_three_forms_solve_no_stabilizer(tmp_path, capsys, monkeypatch):
-    # lambda (rank 6) and B (rank 7) give the stabilizer in closed form,
-    # also for the form embedded in a larger R^n
+    # lambda (rank 6), B (rank 7) and Q with the certificate mod p (rank 8)
+    # give the stabilizer in closed form, also for the form embedded in a
+    # larger R^n
     def no_solve(*args):
-        raise AssertionError("a stable 3-form of rank 6 or 7 solved its stabilizer")
+        raise AssertionError("a stable 3-form of rank 6, 7 or 8 solved its stabilizer")
 
     monkeypatch.setattr(importlib.import_module("formlab.invariants"), "stabilizer_algebra", no_solve)
-    for r, stab in ((6, 16), (7, 14)):
+    for r, stab in ((6, 16), (7, 14), (8, 8)):
         phi = random_form(r, 3, 9, trial_rng(71, r))
         for n in (r, r + 2):
             moved = act(random_gl(n, trial_rng(72, n)), Form(n, 3, dict(phi.terms)))

@@ -35,11 +35,19 @@ from formlab import (
     stabilizer_algebra,
     wedge,
 )
-from formlab.invariants import _bryant_gram, _hitchin_trace, _integer_terms
+from formlab.classify import killing_signature
+from formlab.invariants import _bryant_gram, _hitchin_trace, _integer_terms, _sextic_gram
 from formlab.linalg import inertia_fraction
 from formlab.sampling import random_form, random_gl, random_nonzero_form, trial_rng
 
-from conftest import literature_form, nullspace_oracle, pfaffian_oracle, rref_rank
+from conftest import (
+    CARTAN_FORMS,
+    cartan_form,
+    literature_form,
+    nullspace_oracle,
+    pfaffian_oracle,
+    rref_rank,
+)
 
 
 def e(n, *idx):
@@ -436,3 +444,113 @@ def test_hitchin_and_bryant_signs_are_action_invariant(n):
         else:
             (p, q, z), (pm, qm, zm) = map(bryant_inertia, (phi, moved))
             assert z == zm == 0 and {p, q} == {pm, qm}
+
+
+# ------------------------------------------- the sextic Q of 3-forms on R^8
+
+
+def sextic_gram_oracle(phi):
+    """tr(M_x M_y), column z of M_x the vector poincare_inv dualizes
+    i_x phi ^ i_z phi ^ phi to."""
+    omega = VolumeForm(8)
+    cont = _contractions(phi)
+    M = [[None] * 8 for _ in range(8)]
+    for x in range(8):
+        for z in range(x, 8):
+            M[x][z] = M[z][x] = poincare_inv(omega, wedge(wedge(cont[x], cont[z]), phi)).coords()
+    return [
+        [sum(M[x][z][u] * M[y][u][z] for u in range(8) for z in range(8)) for y in range(8)]
+        for x in range(8)
+    ]
+
+
+def sextic_inertia(phi):
+    return inertia_fraction(_sextic_gram(_integer_terms(phi)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sextic_gram_matches_wedge_oracle(data):
+    # Q scales by c^6
+    if data.draw(st.booleans()):
+        coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+        phi = Form(8, 3, {idx: data.draw(coeffs) for idx in combinations(range(1, 9), 3)})
+    else:
+        phi = _three_form(data, 8)
+    terms = _integer_terms(phi)
+    c = terms[0][1] / phi.terms[terms[0][0]]
+    assert _sextic_gram(terms) == [[c**6 * x for x in row] for row in sextic_gram_oracle(phi)]
+
+
+def _su3_basis(mixed):
+    """i(E_jj - E_kk), then E_jk - E_kj, i(E_jk + E_kj) per pair j < k; a pair
+    in `mixed` gets E_jk + E_kj, i(E_jk - E_kj) instead."""
+
+    def E(j, k, c=1):
+        m = [[0] * 3 for _ in range(3)]
+        m[j - 1][k - 1] = c
+        return m
+
+    def add(a, b):
+        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    def times(c, a):
+        return [[c * x for x in row] for row in a]
+
+    basis = [times(1j, add(E(1, 1), E(2, 2, -1))), times(1j, add(E(2, 2), E(3, 3, -1)))]
+    for j, k in ((1, 2), (1, 3), (2, 3)):
+        s = -1 if (j, k) in mixed else 1
+        basis += [add(E(j, k), E(k, j, -s)), times(1j, add(E(j, k), E(k, j, s)))]
+    return basis
+
+
+def _cartan_terms(basis):
+    """K(X, [Y, Z]) with K(X, Y) = 6 tr(XY), on a basis of 3 x 3 matrices."""
+
+    def mul(a, b):
+        return [[sum(a[i][l] * b[l][j] for l in range(3)) for j in range(3)] for i in range(3)]
+
+    terms = {}
+    for idx in combinations(range(1, 9), 3):
+        x, y, z = (basis[i - 1] for i in idx)
+        yz, zy = mul(y, z), mul(z, y)
+        bracket = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(yz, zy)]
+        v = 6 * sum(mul(x, bracket)[i][i] for i in range(3))
+        assert v == int(v.real)  # small Gaussian integers: exact in floating point
+        if v:
+            terms[idx] = int(v.real)
+    return terms
+
+
+def test_cartan_forms_are_killing_of_bracket():
+    # H_1, H_2, E_12, E_13, E_23, E_21, E_31, E_32
+    sl3 = [[[int(i == j == a) - int(i == j == a + 1) for j in range(3)] for i in range(3)] for a in range(2)]
+    for j, k in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)):
+        sl3.append([[int((a, b) == (j - 1, k - 1)) for b in range(3)] for a in range(3)])
+    assert _cartan_terms(sl3) == CARTAN_FORMS["sl3R"]
+    assert _cartan_terms(_su3_basis(())) == CARTAN_FORMS["su3"]
+    assert _cartan_terms(_su3_basis(((1, 3), (2, 3)))) == CARTAN_FORMS["su21"]
+
+
+@pytest.mark.parametrize(
+    "name, q, killing",
+    [("sl3R", (5, 3, 0), (5, 3, 0)), ("su21", (4, 4, 0), (4, 4, 0)), ("su3", (8, 0, 0), (0, 8, 0))],
+)
+def test_sextic_inertia_on_the_cartan_forms(name, q, killing):
+    # each form is fixed by its algebra acting by ad, so stab = 8 and the
+    # Killing signature is that of the real form; Q's inertia names the orbit
+    phi = cartan_form(name)
+    S = stabilizer_algebra(phi)
+    assert sextic_inertia(phi) == q
+    assert (S.dim, killing_signature(S)) == (8, killing)
+    assert is_stable(phi)
+
+
+def test_sextic_inertia_is_action_invariant():
+    # g multiplies Q, up to congruence, by det(g)^-2 > 0
+    forms = [random_form(8, 3, 9, trial_rng(73, t)) for t in range(4)]
+    forms += [cartan_form(name) for name in CARTAN_FORMS]
+    for t, phi in enumerate(forms):
+        moved = act(random_gl(8, trial_rng(74, t), det_sign=(-1) ** t), phi)
+        q = sextic_inertia(phi)
+        assert q[2] == 0 and sextic_inertia(moved) == q
