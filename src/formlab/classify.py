@@ -14,8 +14,8 @@ has a closed-form fingerprint and, off degrees 2 and n - 2, is named by the
 function of n and Martinet's length alone, so fingerprint solves no
 stabilizer for it.  So has a stable 3-form of rank 6, 7 or 8, on any R^n:
 the sign of Hitchin's lambda (rank 6), the definiteness of Bryant's bilinear
-form B (rank 7) or the inertia of a sextic form Q (rank 8, with stability
-certified modulo a prime) names its stabilizer.  Forms the catalog cannot
+form B (rank 7) or the inertia of a sextic form Q (rank 8) decides
+stability and names the stabilizer.  Forms the catalog cannot
 settle come back `unknown` with their invariants still reported.  Every
 verdict is an OrbitReport that names only the fields it sets.
 """
@@ -273,8 +273,8 @@ def fingerprint(phi: Form) -> Fingerprint:
     * lambda = 0 at rank 6 (an orbit the catalog lacks) and det B = 0 at
       rank 7 are not stable, and keep the solve.
 
-    A stable 3-form of rank 8 solves nothing beyond its rank either, though
-    here a certificate, not the invariant, decides stability.
+    A stable 3-form of rank 8 solves nothing beyond its rank either: a
+    sextic invariant Q decides stability and names the orbit.
 
     * GL(8, R) has three open orbits on Lambda^3 R^8 (Djokovic, Lin.
       Multilin. Alg. 13, 1983; Hitchin, "Stable forms and special metrics",
@@ -295,13 +295,36 @@ def fingerprint(phi: Form) -> Fingerprint:
       of the real form: (5, 3, 0), (4, 4, 0) and (0, 8, 0).  Q is not the
       Killing form: on the compact orbit the two have opposite signs, so the
       map is read off the representatives.
-    * Q does not certify stability; no theorem here says which degenerate
-      orbits have det Q != 0.  The stabilizer system (at most 56 rows, 64
-      columns) does: its rank modulo a prime never exceeds its rank over Q,
-      so full row rank 56 modulo _P gives stab = 8 exactly, and phi lies in
-      an open orbit.  A Q of any other inertia, or a rank short of 56,
-      keeps the solve; e^123 + e^456 + e^178, with Q of inertia (1, 0, 7),
-      is one such form.
+    * det Q != 0 exactly when phi is stable, so a Q of any other inertia
+      keeps the solve; e^123 + e^456 + e^178, with Q of inertia (1, 0, 7)
+      and stab 23, is one such form.  The proof is over C; G = GL(8, C).
+      1. det Q is a polynomial of degree 48 in the coefficients with
+         det Q(g.phi) = det(g)^-18 det Q(phi): a relative invariant.
+      2. (G, Lambda^3 C^8) is an irreducible prehomogeneous space: the
+         orbit of a Cartan form is open.  G is reductive, and the generic
+         isotropy has Lie algebra ad(sl(3, C)), which is semisimple, so
+         reductive.  So the singular set S, the complement of the open
+         orbit, is a hypersurface (Kimura, Introduction to Prehomogeneous
+         Vector Spaces, AMS 2003, Theorem 2.28: for reductive G, S is a
+         hypersurface if and only if a generic isotropy subgroup is
+         reductive; by Matsushima's criterion the open orbit is affine,
+         and the complement of an affine open set has pure codimension
+         one).  G is connected, so it fixes each component {f_i = 0} of
+         S, and each irreducible f_i is a relative invariant.  A character
+         of G is a power of det, fixed by its value on the scalars, that
+         is by the degree; so f_i^deg(h) / h^deg(f_i), for any relative
+         invariant h, is an absolute invariant, constant on the open orbit
+         and so everywhere.  Hence S is the zero set of one basic relative
+         invariant f, and every relative invariant is c f^m (Kimura,
+         Theorem 2.9; Sato and Kimura, Nagoya Math. J. 65, 1977, list f,
+         of degree 16, with character det^-6, so m = 3, but nothing here
+         uses that).
+      3. c != 0, because the Cartan forms have det Q != 0.
+      4. So det Q(phi) != 0 exactly when phi is off S, that is when its
+         complex orbit is open and stab(phi) has dimension 64 - 56 = 8.
+         The stabilizer system has rational coefficients, so the
+         dimension is the same over C and over R, and the real orbit of
+         phi is one of the three open ones.
     * Stable means full rank, so profile = (8, 8).  stab(phi_8) = ad(g) is
       simple and acts on R^8 = g by its adjoint representation, so
       T(X, Y) = tr(ad X ad Y) = K_8 and tau = 0.  The block r K_r + r m T

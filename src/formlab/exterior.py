@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -357,7 +358,10 @@ class LinMap:
         raise AttributeError("LinMap is immutable")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "LinMap":
+        # immutable, so one instance per n serves every caller and its
+        # determinant is eliminated once
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod

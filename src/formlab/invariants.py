@@ -8,9 +8,8 @@ form get the dimension of their stabilizer without solving for it
 3-forms of rank 6, 7 or 8 that are stable.  One integer kernel builds the
 5-forms i_v phi ^ phi on integer coefficients, and from them Hitchin's
 quartic lambda (rank 6), Bryant's bilinear form B (rank 7) and a sextic
-bilinear form Q (rank 8).  lambda and B detect stability themselves; at rank
-8 full row rank of the stabilizer system modulo a prime certifies it, and
-the inertia of Q names the orbit.
+bilinear form Q (rank 8).  Each detects stability itself (lambda != 0,
+det B != 0, det Q != 0) and names the orbit by a sign or an inertia.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .exterior import (
 )
 from .linalg import (
     Scalar,
-    _rank_mod_p,
     inertia_fraction,
     nullspace_rows,
     rank_rows,
@@ -411,11 +409,12 @@ _SEXTIC_KILLING = {(5, 3, 0): (5, 3, 0), (4, 4, 0): (4, 4, 0), (8, 0, 0): (0, 8,
 def _stable_three_form(phi: Form) -> ClosedForm | None:
     """Profile, stabilizer dimension and Killing signature of a stable 3-form on R^6, R^7 or R^8.
 
-    None when phi is not stable, or not certified to be: lambda = 0 on R^6,
-    det B = 0 on R^7; on R^8 a Q of any inertia but the three of the open
-    orbits, or a stabilizer system short of full row rank modulo _P.  A
-    positive scale c of the terms multiplies tr K^2 by c^4, B by c^3 and Q by
-    c^6, so neither the sign nor the inertia moves (see classify.fingerprint).
+    None when phi is not stable: lambda = 0 on R^6, det B = 0 on R^7, and on
+    R^8 a Q of any inertia but the three of the open orbits, all of which
+    have det Q != 0 (det Q = 0 is exactly the unstable set; the proof is in
+    classify.fingerprint).  A positive scale c of the terms multiplies
+    tr K^2 by c^4, B by c^3 and Q by c^6, so neither the sign nor the
+    inertia moves.
     """
     terms = _integer_terms(phi)
     if phi.n == 6:
@@ -425,8 +424,7 @@ def _stable_three_form(phi: Form) -> ClosedForm | None:
         return (6, 6), 16, ((10, 6, 0) if t > 0 else (8, 8, 0))
     if phi.n == 8:
         killing = _SEXTIC_KILLING.get(inertia_fraction(_sextic_gram(terms)))
-        # stab = 64 - 56 exactly when the 56 x 64 system has full row rank
-        if killing is None or _rank_mod_p(*_stabilizer_rows(terms, 8)) != 56:
+        if killing is None:
             return None
         return (8, 8), 8, killing
     p, q, z = inertia_fraction(_bryant_gram(terms))
@@ -440,7 +438,7 @@ def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
 
     Derived in classify.fingerprint: decomposable forms (r = k), full-rank
     (n-2)-forms and stable 3-forms of rank 6, 7 or 8.  None for every other
-    form, and for a stable rank-8 form that the certificate misses.
+    form.
     """
     n, k, r = red.original_n, red.reduced.k, red.r
     if r == k:
@@ -480,11 +478,10 @@ def _reduced_stabilizer(
       kernel), read off its dual bivector by length_and_sign.  A caller that
       already holds phi's LengthSign, under any volume, passes it as ls, and
       the length is read from it instead;
-    * a 3-form of rank 6 with Hitchin's lambda != 0, or of rank 7 with
-      Bryant's B nondegenerate, is stable, and the sign of lambda or the
-      definiteness of B names its stabilizer;
-    * a 3-form of rank 8 whose stabilizer system has full row rank modulo
-      _P is stable, and the inertia of Q names its stabilizer.
+    * a 3-form of rank 6 with Hitchin's lambda != 0, of rank 7 with
+      Bryant's B nondegenerate, or of rank 8 with the sextic Q
+      nondegenerate, is stable, and the sign of lambda, the definiteness of
+      B or the inertia of Q names its stabilizer.
 
     Zero forms and 0-forms return (None, stabilizer_algebra(phi), its
     dimension, None).

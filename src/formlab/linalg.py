@@ -19,13 +19,15 @@ once the system has _CERTIFY_MIN_COLS columns or more.  Every minor of an
 integer matrix that is nonzero modulo _P is nonzero, so the rank modulo _P
 never exceeds the rank over Q; when it reaches min(rows, columns), that is
 the exact rank, and a nullspace of full column rank is exactly ([], []),
-what Bareiss would return.  A rank short of that proves nothing, and the
+what Bareiss would return.  The first ncols rows are eliminated modulo _P
+first: at full column rank they already certify the whole matrix.  When a
+taller system falls short there, which happens when its leading rows all
+come from a few terms of a form, the pass runs once more over every row
+(_full_rank_mod_p).  A rank still short of full proves nothing, and the
 Bareiss pass runs on all rows as before, so no answer depends on the choice
-of prime.  Only the first ncols rows are eliminated modulo _P: at full
-column rank they already certify the whole matrix.  _P is below 2^15 so that
-the pass, which packs each row into one int, never carries between columns
-and multiplies by one CPython digit at a time; that is what makes it cheaper
-than Bareiss on the same rows.
+of prime.  _P is below 2^15 so that the pass, which packs each row into one
+int, never carries between columns and multiplies by one CPython digit at a
+time; that is what makes it cheaper than Bareiss on the same rows.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def _pack(residues: Sequence[int]) -> int:
 
 
 def _rank_mod_p(mat: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank modulo _P of the first ncols rows of the integer matrix mat, when
-    that rank is min(len(mat), ncols); otherwise some smaller number.
+    """Rank modulo _P of the integer matrix mat, when that rank is
+    min(len(mat), ncols); otherwise some smaller number.
 
     Gaussian elimination on residues, mat left untouched.  Each row is packed
     by _pack, column j in slot j, and the columns are eliminated from the
@@ -192,8 +194,8 @@ def _rank_mod_p(mat: Sequence[Sequence[int]], ncols: int) -> int:
     each row and the pivot row.  The pass stops as soon as too few columns
     are left for a full rank.
     """
-    rows = [_pack([x % _P for x in row]) for row in mat[:ncols]]
-    full = len(rows)
+    rows = [_pack([x % _P for x in row]) for row in mat]
+    full = min(len(rows), ncols)
     slack = ncols - full
     rank = 0
     for c in range(ncols - 1, -1, -1):
@@ -220,15 +222,28 @@ def _rank_mod_p(mat: Sequence[Sequence[int]], ncols: int) -> int:
     return rank
 
 
+def _full_rank_mod_p(mat: Sequence[Sequence[int]], ncols: int) -> bool:
+    """True when the rank of mat modulo _P, hence over Q, is min(len(mat), ncols).
+
+    The first ncols rows are tried first, then, if they fall short of a
+    taller matrix, every row.  Always False below _CERTIFY_MIN_COLS columns.
+    """
+    if ncols < _CERTIFY_MIN_COLS:
+        return False
+    full = min(len(mat), ncols)
+    if _rank_mod_p(mat[:ncols], ncols) == full:
+        return True
+    return len(mat) > ncols and _rank_mod_p(mat, ncols) == full
+
+
 def rank_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
     """Rank over Q: certified modulo _P when full, else by Bareiss.
 
     Systems with fewer than _CERTIFY_MIN_COLS columns skip the certificate.
     """
     mat = to_int_rows(rows)
-    full = min(len(mat), ncols)
-    if ncols >= _CERTIFY_MIN_COLS and _rank_mod_p(mat, ncols) == full:
-        return full
+    if _full_rank_mod_p(mat, ncols):
+        return min(len(mat), ncols)
     pivots, _ = row_echelon_int(mat, ncols)
     return len(pivots)
 
@@ -260,7 +275,7 @@ def nullspace_rows(
     one with fewer than _CERTIFY_MIN_COLS columns.
     """
     mat = to_int_rows(rows)
-    if _CERTIFY_MIN_COLS <= ncols <= len(mat) and _rank_mod_p(mat, ncols) == ncols:
+    if ncols <= len(mat) and _full_rank_mod_p(mat, ncols):
         return [], []
     pivots, _ = row_echelon_int(mat, ncols)
     pivot_cols = {pc for _, pc in pivots}

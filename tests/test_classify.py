@@ -330,8 +330,8 @@ def test_fingerprint_closed_form_of_stable_catalog_forms(n, name):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_fingerprint_closed_form_of_three_forms_of_rank_eight(data):
-    # Q's inertia and the certificate mod p decide stab(phi_8), and the
-    # semisimple lift carries it to R^9 and R^10; the rest keeps the solve
+    # Q's inertia decides stab(phi_8), and the semisimple lift carries it to
+    # R^9 and R^10; a degenerate Q keeps the solve
     n = data.draw(st.integers(8, 10))
     coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
     triples = list(combinations(range(1, 9), 3))
@@ -692,10 +692,16 @@ def test_stable_three_forms_solve_only_their_rank(monkeypatch):
 
 
 def test_stable_three_forms_of_rank_eight_solve_only_their_rank(monkeypatch):
+    # det Q != 0 certifies stability: neither the stabilizer system nor a
+    # rank modulo a prime is built
     def no_solve(*args):
-        raise AssertionError("a stable 3-form of rank 8 solved its stabilizer")
+        raise AssertionError("a stable 3-form of rank 8 built a linear system past its rank")
 
-    monkeypatch.setattr(importlib.import_module("formlab.invariants"), "stabilizer_algebra", no_solve)
+    invariants = importlib.import_module("formlab.invariants")
+    assert not hasattr(invariants, "_rank_mod_p")
+    for name in ("stabilizer_algebra", "_stabilizer_rows"):
+        monkeypatch.setattr(invariants, name, no_solve)
+    monkeypatch.setattr(importlib.import_module("formlab.linalg"), "_rank_mod_p", no_solve)
     catalog_entries.cache_clear()
     stable = [cartan_form(name) for name in CARTAN_FORMS]
     stable += [random_form(8, 3, 9, trial_rng(76, t)) for t in range(3)]

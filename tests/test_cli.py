@@ -327,9 +327,8 @@ def test_invariants_codim_two_reads_martinet_length_once(tmp_path, capsys, monke
 
 
 def test_invariants_of_stable_three_forms_solve_no_stabilizer(tmp_path, capsys, monkeypatch):
-    # lambda (rank 6), B (rank 7) and Q with the certificate mod p (rank 8)
-    # give the stabilizer in closed form, also for the form embedded in a
-    # larger R^n
+    # lambda (rank 6), B (rank 7) and Q (rank 8) give the stabilizer in
+    # closed form, also for the form embedded in a larger R^n
     def no_solve(*args):
         raise AssertionError("a stable 3-form of rank 6, 7 or 8 solved its stabilizer")
 

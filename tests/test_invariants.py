@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formlab import (
@@ -35,8 +35,15 @@ from formlab import (
     stabilizer_algebra,
     wedge,
 )
+from formlab import linalg
 from formlab.classify import killing_signature
-from formlab.invariants import _bryant_gram, _hitchin_trace, _integer_terms, _sextic_gram
+from formlab.invariants import (
+    _bryant_gram,
+    _hitchin_trace,
+    _integer_terms,
+    _sextic_gram,
+    _stabilizer_rows,
+)
 from formlab.linalg import inertia_fraction
 from formlab.sampling import random_form, random_gl, random_nonzero_form, trial_rng
 
@@ -165,6 +172,24 @@ def test_stabilizer_dimension_is_action_invariant():
     for trial in range(5):
         g = random_gl(6, trial_rng(8, trial), det_sign=-1)
         assert stabilizer_algebra(act(g, phi)).dim == d
+
+
+def test_stabilizer_short_on_leading_rows_needs_no_bareiss(monkeypatch):
+    # the (8,4) form of the benchmark's census operation 3 at seed 0: the
+    # first 64 of its 70 stabilizer equations have rank 63 modulo P, all 70
+    # have rank 64, so stab = 0 is certified without Bareiss
+    rng = random.Random("formlab-bench/census/0/3")
+    terms = {idx: c for idx in combinations(range(1, 9), 4) if (c := rng.randint(-9, 9))}
+    phi = Form(8, 4, terms)
+    rows, ncols = _stabilizer_rows(_integer_terms(phi), 8)
+    assert (len(rows), ncols) == (70, 64)
+    assert linalg._rank_mod_p(rows[:ncols], ncols) == 63
+
+    def no_bareiss(*args):
+        raise AssertionError("a full-rank stabilizer system reached Bareiss")
+
+    monkeypatch.setattr(linalg, "row_echelon_int", no_bareiss)
+    assert stabilizer_algebra(phi).dim == 0
 
 
 def _indices(n, k):
@@ -554,3 +579,22 @@ def test_sextic_inertia_is_action_invariant():
         moved = act(random_gl(8, trial_rng(74, t), det_sign=(-1) ** t), phi)
         q = sextic_inertia(phi)
         assert q[2] == 0 and sextic_inertia(moved) == q
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sextic_q_is_nondegenerate_exactly_on_stable_forms(data):
+    # det Q != 0 exactly when stab(phi_8) has dimension 8 (the proof is in
+    # classify.fingerprint); sparse forms fall on both sides
+    triples = list(combinations(range(1, 9), 3))
+    coeffs = st.sampled_from((-2, -1, 1, 2))
+    terms = data.draw(st.dictionaries(st.sampled_from(triples), coeffs, min_size=4, max_size=14))
+    assume(rank(Form(8, 3, terms)) == 8)
+    n = data.draw(st.integers(8, 10))
+    phi = Form(n, 3, terms)
+    if data.draw(st.booleans()):
+        phi = act(random_gl(n, trial_rng(data.draw(st.integers(0, 2**16)), n)), phi)
+    red = reduce_form(phi)
+    assert red.r == 8
+    _, _, z = sextic_inertia(red.reduced)
+    assert (z == 0) == (stabilizer_algebra(red.reduced).dim == 8)

@@ -162,13 +162,14 @@ def _random_times_p(seed, nrows, col):
         _random_times_p(7, N + 2, 2),
         _random_times_p(8, N, 0),
         # the first N rows are short over Q too; the last one completes them
-        _with_identity([])[:-1] + [[1] + [0] * (N - 1), [0] * (N - 1) + [1]],
+        # over Q, but only by a multiple of P
+        _with_identity([])[:-1] + [[1] + [0] * (N - 1), [0] * (N - 1) + [P]],
     ],
     ids=["zero-column", "det-p", "wide-rational", "tall-times-p", "square-times-p", "late-row"],
 )
 def test_full_rank_short_modulo_p_falls_back_to_bareiss(monkeypatch, rows):
-    # full rank over Q, short modulo P: the certificate proves nothing, so
-    # the answer comes from one Bareiss pass on all rows
+    # full rank over Q, short modulo P on every row: the certificate proves
+    # nothing, so the answer comes from one Bareiss pass on all rows
     calls = []
 
     def spy(mat, ncols):
@@ -194,6 +195,12 @@ def test_full_rank_certified_without_bareiss(monkeypatch):
     assert nullspace_rows(tall, N) == ([], [])
     assert rank_rows(tall, N) == N
     assert rank_rows(random_int_matrix(random.Random(2), 5, N), N) == 5
+    # the first N rows are short over Q too; the pass over every row
+    # reaches the last one, which completes them
+    late = _with_identity([])[:-1] + [[1] + [0] * (N - 1), [0] * (N - 1) + [1]]
+    assert linalg._rank_mod_p(late[:N], N) < N
+    assert rank_rows(late, N) == N
+    assert nullspace_rows(late, N) == ([], [])
 
 
 @given(square_strategy())
