@@ -42,14 +42,13 @@ from .invariants import (
     LengthSign,
     Reduction,
     StabAlgebra,
-    _bryant_gram,
     _contraction_rows,
-    _integer_terms,
     _reduced_stabilizer,
+    _stable_three_form,
     length_and_sign,
     rank,
 )
-from .linalg import det_fraction, inertia_fraction, rank_rows
+from .linalg import inertia_fraction, rank_rows
 
 __all__ = [
     "Fingerprint",
@@ -476,17 +475,6 @@ def _block_swap_reversal(phi: Form, k: int) -> LinMap | None:
     return None
 
 
-def _seven_three_gram_det(phi: Form) -> Fraction:
-    """det of B(v, w) = i_v(phi) ^ i_w(phi) ^ phi against e^{1..7}, up to a positive factor.
-
-    A stabilizing h satisfies B(hv, hw) = det(h) B(v, w), so det(B) != 0
-    forces det(h)^5 = det(h)^7 / det(h)^2 = 1 at the determinant level,
-    pinning every stabilizer element inside SL(7).  B is built on phi scaled
-    to integers, which multiplies det(B) by a positive power of the scale.
-    """
-    return det_fraction(_bryant_gram(_integer_terms(phi)))
-
-
 def _component_count(rep: Form) -> tuple[int | None, str]:
     """Connected components of the full orbit of a catalog representative.
 
@@ -508,7 +496,9 @@ def _component_count(rep: Form) -> tuple[int | None, str]:
             power = wedge(power, rep)
         if not power.is_zero:
             return 2, "nonzero top wedge power pins stabilizers into SL"
-    if k == 3 and n == 7 and _seven_three_gram_det(rep) != 0:
+    # stable means det B != 0 for Bryant's B, and a stabilizing h has
+    # B(hv, hw) = det(h) B(v, w), so det(h)^2 = det(h)^7: h lies in SL(7)
+    if k == 3 and n == 7 and _stable_three_form(rep) is not None:
         return 2, "nondegenerate contraction Gram form pins stabilizers into SL"
     witness = _diagonal_reversal(rep)
     if witness is not None:

@@ -221,7 +221,8 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
                     "contraction_rate": w.rate,
                     "basis": _matrix_json(w.basis),
                 }
-            witnesses["orientation_reversing"] = _matrix_json(_kernel_reflection(red.frame, r))
+            u = [row[r] for row in frame]
+            witnesses["orientation_reversing"] = _matrix_json(_kernel_reflection(u))
     else:
         inv["rank"] = None
     orbit_dim = n * n - fp.stab_dim

@@ -117,15 +117,20 @@ def is_multisymplectic(phi: Form) -> bool:
     return rank(phi) == phi.n
 
 
-def _kernel_reflection(frame: LinMap, r: int) -> LinMap:
-    """frame . diag(1^r, -1, 1, ...) . frame^{-1}: a reflection of column r + 1.
+def _kernel_reflection(u: list[Scalar]) -> LinMap:
+    """g = I - 2 u e_f^T / u_f, f the last nonzero coordinate of a kernel vector u.
 
-    When the last n - r columns of frame span the kernel of a form, this
-    element of determinant -1 fixes the form.
+    i_u phi = 0 gives g^* phi = phi; g^2 = I, so act(g, phi) = phi, and
+    det g = -1.  A kernel vector of nullspace_rows lives on the pivot columns
+    plus its own free column f, and reduce_form's frame puts the pivot
+    coordinate vectors before the kernel.  So for u the frame's column r + 1,
+    every other column vanishes at f, row r + 1 of frame^{-1} is e_f^T / u_f,
+    and g is frame . diag(1^r, -1, 1, ...) . frame^{-1} exactly.
     """
-    n = frame.n
-    reflect = LinMap.diagonal([1] * r + [-1] + [1] * (n - r - 1))
-    return frame @ reflect @ frame.inverse()
+    n = len(u)
+    f = max(i for i in range(n) if u[i])
+    col = [int(i == f) - 2 * Fraction(u[i]) / u[f] for i in range(n)]
+    return LinMap([[col[i] if j == f else int(i == j) for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -606,15 +611,15 @@ def nilpotency_witness_degenerate(x: Polyvector) -> NilpotencyWitness:
 
 
 def orientation_reversing_stabilizer_witness(phi: Form) -> LinMap:
-    """A determinant -1 matrix fixing phi: reflect one kernel direction.
+    """A determinant -1 matrix fixing phi: the reflection along its first kernel vector.
 
-    Exists exactly when phi is degenerate; the complement of the kernel is
-    left untouched, so the pullback cannot see the reflection.  The frame is
-    that of reduce_form; a zero form's is the identity.
+    Exists exactly when phi is degenerate.  One nullspace solve gives the
+    kernel; no reduction or pullback is taken.  A zero form's first kernel
+    vector is e_1.
     """
     if phi.k < 1:
         raise DegreeError("witness needs degree at least 1")
-    red = reduce_form(phi)
-    if red.r == phi.n:
+    kernel, _ = _kernel_basis(phi)
+    if not kernel:
         raise FormError("no witness by this construction: form is non-degenerate")
-    return _kernel_reflection(red.frame, red.r)
+    return _kernel_reflection(kernel[0])

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -41,6 +42,7 @@ from formlab.invariants import (
     _bryant_gram,
     _hitchin_trace,
     _integer_terms,
+    _kernel_reflection,
     _sextic_gram,
     _stabilizer_rows,
 )
@@ -392,6 +394,52 @@ def test_orientation_reversing_witness():
     assert z.det == -1
     with pytest.raises(FormError):
         orientation_reversing_stabilizer_witness(e(4, 1, 2) + e(4, 3, 4))
+
+
+def _conjugated_reflection(phi):
+    """Oracle: reduce_form's frame . diag(1^r, -1, 1, ...) . frame^{-1}."""
+    red = reduce_form(phi)
+    n, r = phi.n, red.r
+    reflect = LinMap.diagonal([1] * r + [-1] + [1] * (n - r - 1))
+    return red, red.frame @ reflect @ red.frame.inverse()
+
+
+def _moved_degenerate_form(n, rng):
+    # a form on R^r, r < n, inflated to R^n and moved by a random g
+    r = 1 + rng.randrange(n - 1)
+    k = 1 + rng.randrange(r)
+    small = random_nonzero_form(r, k, 5, rng)
+    g = random_gl(n, rng, det_sign=rng.choice((1, -1)))
+    return act(g, Form(n, k, dict(small.terms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 9), zero=st.booleans(), seed=st.integers(0, 2**32))
+def test_kernel_reflection_is_the_conjugated_reflection(n, zero, seed):
+    rng = random.Random(seed)
+    phi = Form.zero(n, 1 + rng.randrange(n)) if zero else _moved_degenerate_form(n, rng)
+    red, oracle = _conjugated_reflection(phi)
+    g = _kernel_reflection([row[red.r] for row in red.frame.entries])
+    assert g == oracle
+    assert g.det == -1
+    assert g @ g == LinMap.identity(n)
+    assert act(g, phi) == phi
+
+
+def test_orientation_reversing_witness_takes_no_reduction(monkeypatch):
+    cases = [(Form.zero(3, 2), LinMap.diagonal([-1, 1, 1]))]
+    for trial in range(30):
+        phi = _moved_degenerate_form(3 + trial % 5, trial_rng(96, trial))
+        cases.append((phi, _conjugated_reflection(phi)[1]))
+
+    def no_reduction(*args):
+        raise AssertionError("the witness reduced the form")
+
+    invariants = importlib.import_module("formlab.invariants")
+    monkeypatch.setattr(invariants, "reduce_form", no_reduction)
+    monkeypatch.setattr(invariants, "pullback", no_reduction)
+    for phi, oracle in cases:
+        assert orientation_reversing_stabilizer_witness(phi) == oracle
 
 
 # ------------------------------------------ Hitchin's lambda and Bryant's B
