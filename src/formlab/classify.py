@@ -33,9 +33,8 @@ from .exterior import (
     DegreeError,
     Form,
     FormError,
-    LinMap,
     VolumeForm,
-    act,
+    normalize_index,
     wedge,
 )
 from .invariants import (
@@ -394,8 +393,9 @@ class CatalogEntry:
     provenance is "literature" for normal forms fixed by classical
     classification results and "derived" for representatives constructed
     here.  fingerprint is stored only for entries the generic classifier
-    consults (degrees other than 2 and n-2); components counts come from
-    explicit determinant constraints or exact stabilizer witnesses.
+    consults (degrees other than 2 and n-2); component counts come from
+    determinant constraints or from parity and index-permutation criteria
+    on the terms (see _component_count).
     """
 
     name: str
@@ -426,62 +426,49 @@ def _block_form(n: int, k: int, blocks: int) -> Form:
     return Form(n, k, terms)
 
 
-def _diagonal_reversal(phi: Form) -> LinMap | None:
-    """Search for a diagonal sign matrix with determinant -1 fixing phi.
+def _diagonal_reversal(phi: Form) -> bool:
+    """True when a diagonal sign matrix of determinant -1 fixes phi.
 
-    Pulling back by diag(eps) scales the coefficient at I by prod(eps_i over
-    I), so the witness conditions are linear over GF(2): every support must
-    have an even number of sign flips while the total count is odd.
+    Pulling back by diag(eps) scales the coefficient at I by the product of
+    eps_i over I.  So the sign pattern x (bit i - 1 set where eps_i = -1)
+    fixes phi exactly when it meets every support in an even number of bits,
+    and has determinant -1 exactly when its own bit count is odd.  With
+    n <= MAX_DIMENSION there are at most 2^12 patterns to try.
     """
-    n = phi.n
-    mask = (1 << n) - 1
-    rows = [sum(1 << (i - 1) for i in idx) for idx in phi.terms]
-    rows.append((1 << n) | mask)  # parity row: sum of all x_i = 1
-    pivots: list[tuple[int, int]] = []
-    for row in rows:
-        for col, prow in pivots:
-            if row >> col & 1:
-                row ^= prow
-        low = row & mask
-        if low == 0:
-            if row >> n & 1:
-                return None  # 0 = 1: inconsistent
-            continue
-        pivots.append(((low & -low).bit_length() - 1, row))
-    # Each pivot row is clean of earlier pivot columns, so walking the pivots
-    # in reverse creation order sees only solved or free variables.
-    x = 0
-    for col, row in reversed(pivots):
-        others = row & mask & ~(1 << col)
-        if (row >> n & 1) ^ (bin(others & x).count("1") & 1):
-            x |= 1 << col
-    diag = LinMap.diagonal([-1 if x >> i & 1 else 1 for i in range(n)])
-    if diag.det < 0 and act(diag, phi) == phi:
-        return diag
-    return None
+    supports = [sum(1 << (i - 1) for i in idx) for idx in phi.terms]
+    return any(
+        x.bit_count() & 1 and not any((x & s).bit_count() & 1 for s in supports)
+        for x in range(1, 1 << phi.n)
+    )
 
 
-def _block_swap_reversal(phi: Form, k: int) -> LinMap | None:
-    """Try the permutation exchanging the first two k-blocks; det is (-1)^k."""
-    n = phi.n
+def _block_swap_reversal(phi: Form) -> bool:
+    """True when exchanging the first two k-blocks, k odd, fixes phi.
+
+    The swap has determinant (-1)^k and sends e^I to +-e^J, J the sorted
+    image of I with the sign of that sort.  It is an involution, so phi is
+    fixed exactly when every term's image carries the same coefficient.
+    """
+    n, k = phi.n, phi.k
     if 2 * k > n or k % 2 == 0:
-        return None
-    perm = list(range(n))
-    for i in range(k):
-        perm[i], perm[k + i] = perm[k + i], perm[i]
-    g = LinMap([[int(perm[i] == j) for j in range(n)] for i in range(n)])
-    if g.det < 0 and act(g, phi) == phi:
-        return g
-    return None
+        return False
+    perm = [0, *range(k + 1, 2 * k + 1), *range(1, k + 1), *range(2 * k + 1, n + 1)]
+    for idx, c in phi.terms.items():
+        image, sign = normalize_index([perm[i] for i in idx])
+        if phi.terms.get(image) != sign * c:
+            return False
+    return True
 
 
 def _component_count(rep: Form) -> tuple[int | None, str]:
     """Connected components of the full orbit of a catalog representative.
 
-    Returns (count, reason).  Degenerate forms always admit an orientation
-    reversing stabilizer element; top-power and Gram determinant constraints
-    force stabilizers into SL; explicit sign or block-swap witnesses settle
-    the remaining cases.
+    Returns (count, reason).  The count is 1 exactly when some stabilizer
+    element has determinant -1.  Degenerate forms always admit one (a
+    kernel reflection); top-power and Gram determinant constraints force
+    stabilizers into SL; a diagonal sign pattern or a block swap that fixes
+    the form, each decided on its index sets alone, settles the remaining
+    cases.
     """
     n, k = rep.n, rep.k
     if rep.is_zero:
@@ -500,13 +487,10 @@ def _component_count(rep: Form) -> tuple[int | None, str]:
     # B(hv, hw) = det(h) B(v, w), so det(h)^2 = det(h)^7: h lies in SL(7)
     if k == 3 and n == 7 and _stable_three_form(rep) is not None:
         return 2, "nondegenerate contraction Gram form pins stabilizers into SL"
-    witness = _diagonal_reversal(rep)
-    if witness is not None:
+    if _diagonal_reversal(rep):
         return 1, "diagonal sign change of determinant -1 fixes the form"
-    if k >= 1:
-        witness = _block_swap_reversal(rep, k)
-        if witness is not None:
-            return 1, "block swap of determinant -1 fixes the form"
+    if _block_swap_reversal(rep):
+        return 1, "block swap of determinant -1 fixes the form"
     return None, "component count undetermined"
 
 

@@ -33,6 +33,9 @@ from formlab import (
 )
 from formlab.classify import (
     MAX_DIMENSION,
+    _block_swap_reversal,
+    _component_count,
+    _diagonal_reversal,
     _killing_gram,
     _martinet_form,
 )
@@ -446,6 +449,189 @@ def test_match_catalog():
     other = fingerprint(literature_form("G2-compact-7"))
     assert [e_.name for e_ in match_catalog(other, 7, 3)] == ["G2-compact-7"]
     assert match_catalog(fp, 9, 3) == []
+
+
+# --------------------------------------------------------- component counts
+
+# Component count of every catalog entry for n <= MAX_DIMENSION, in catalog
+# order.  The two Nones are Martinet forms of even length l = n/2 whose count
+# no criterion of _component_count decides; bench/golden/cli_corpus.json pins
+# the one on R^12 through its `catalog 12 10` documents.
+CATALOG_COMPONENTS = {
+    (1, 1): {"decomposable": 2},
+    (2, 1): {"decomposable": 1},
+    (2, 2): {"two-form-rank-0": 1, "two-form-rank-2": 2},
+    (3, 1): {"martinet-l0-s0": 1, "martinet-l1-s+1": 1},
+    (3, 2): {"two-form-rank-0": 1, "two-form-rank-2": 1},
+    (3, 3): {"decomposable": 2},
+    (4, 1): {"decomposable": 1},
+    (4, 2): {"two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 2},
+    (4, 3): {"decomposable": 1},
+    (4, 4): {"decomposable": 2},
+    (5, 1): {"decomposable": 1},
+    (5, 2): {"two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 1},
+    (5, 3): {"martinet-l0-s0": 1, "martinet-l1-s+1": 1, "martinet-l2-s+1": 1},
+    (5, 4): {"decomposable": 1},
+    (5, 5): {"decomposable": 2},
+    (6, 1): {"decomposable": 1},
+    (6, 2): {
+        "two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 1, "two-form-rank-6": 2,
+    },
+    (6, 3): {"decomposable": 1, "split-2": 1, "elliptic-6": 1},
+    (6, 4): {
+        "martinet-l0-s0": 1, "martinet-l1-s+1": 1, "martinet-l2-s+1": 1, "martinet-l3-s+1": 1,
+        "martinet-l3-s-1": 1,
+    },
+    (6, 5): {"decomposable": 1},
+    (6, 6): {"decomposable": 2},
+    (7, 1): {"decomposable": 1},
+    (7, 2): {
+        "two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 1, "two-form-rank-6": 1,
+    },
+    (7, 3): {"decomposable": 1, "split-2": 1, "G2-tilde-7": 2, "G2-compact-7": 2},
+    (7, 4): {"decomposable": 1},
+    (7, 5): {
+        "martinet-l0-s0": 1, "martinet-l1-s+1": 1, "martinet-l2-s+1": 1, "martinet-l3-s+1": 1,
+    },
+    (7, 6): {"decomposable": 1},
+    (7, 7): {"decomposable": 2},
+    (8, 1): {"decomposable": 1},
+    (8, 2): {
+        "two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 1, "two-form-rank-6": 1,
+        "two-form-rank-8": 2,
+    },
+    (8, 3): {"decomposable": 1, "split-2": 1},
+    (8, 4): {"decomposable": 1, "split-2": 2},
+    (8, 5): {"decomposable": 1},
+    (8, 6): {
+        "martinet-l0-s0": 1, "martinet-l1-s+1": 1, "martinet-l2-s+1": 1, "martinet-l3-s+1": 1,
+        "martinet-l4-s+1": None,
+    },
+    (8, 7): {"decomposable": 1},
+    (8, 8): {"decomposable": 2},
+    (9, 2): {
+        "two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 1, "two-form-rank-6": 1,
+        "two-form-rank-8": 1,
+    },
+    (9, 7): {
+        "martinet-l0-s0": 1, "martinet-l1-s+1": 1, "martinet-l2-s+1": 1, "martinet-l3-s+1": 1,
+        "martinet-l4-s+1": 1,
+    },
+    (9, 9): {"decomposable": 2},
+    (10, 2): {
+        "two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 1, "two-form-rank-6": 1,
+        "two-form-rank-8": 1, "two-form-rank-10": 2,
+    },
+    (10, 8): {
+        "martinet-l0-s0": 1, "martinet-l1-s+1": 1, "martinet-l2-s+1": 1, "martinet-l3-s+1": 1,
+        "martinet-l4-s+1": 1, "martinet-l5-s+1": 1, "martinet-l5-s-1": 1,
+    },
+    (10, 10): {"decomposable": 2},
+    (11, 2): {
+        "two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 1, "two-form-rank-6": 1,
+        "two-form-rank-8": 1, "two-form-rank-10": 1,
+    },
+    (11, 9): {
+        "martinet-l0-s0": 1, "martinet-l1-s+1": 1, "martinet-l2-s+1": 1, "martinet-l3-s+1": 1,
+        "martinet-l4-s+1": 1, "martinet-l5-s+1": 1,
+    },
+    (11, 11): {"decomposable": 2},
+    (12, 2): {
+        "two-form-rank-0": 1, "two-form-rank-2": 1, "two-form-rank-4": 1, "two-form-rank-6": 1,
+        "two-form-rank-8": 1, "two-form-rank-10": 1, "two-form-rank-12": 2,
+    },
+    (12, 10): {
+        "martinet-l0-s0": 1, "martinet-l1-s+1": 1, "martinet-l2-s+1": 1, "martinet-l3-s+1": 1,
+        "martinet-l4-s+1": 1, "martinet-l5-s+1": 1, "martinet-l6-s+1": None,
+    },
+    (12, 12): {"decomposable": 2},
+}
+
+
+def _catalog():
+    for n in range(1, MAX_DIMENSION + 1):
+        for k in range(n + 1):
+            yield from catalog_entries(n, k)
+
+
+def _diagonal_signs(n, x):
+    # the sign matrix with -1 at bit i - 1 of x
+    return LinMap.diagonal([-1 if x >> i & 1 else 1 for i in range(n)])
+
+
+def _block_swap(n, k):
+    # the permutation matrix exchanging e_1..e_k with e_{k+1}..e_{2k}
+    perm = [*range(k, 2 * k), *range(k), *range(2 * k, n)]
+    return LinMap([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+
+
+def test_catalog_component_counts_frozen():
+    catalog = {}
+    for entry in _catalog():
+        catalog.setdefault((entry.n, entry.k), {})[entry.name] = entry.components
+    assert catalog == CATALOG_COMPONENTS
+    assert sum(map(len, catalog.values())) == 126
+
+
+def test_component_count_witnesses_fix_the_representative():
+    # the witness matrix behind every count the index criteria decide
+    decided = 0
+    for entry in _catalog():
+        rep, n, k = entry.representative, entry.n, entry.k
+        count, reason = _component_count(rep)
+        assert count == entry.components
+        if reason.startswith("diagonal"):
+            supports = [sum(1 << (i - 1) for i in idx) for idx in rep.terms]
+            x = next(
+                x
+                for x in range(1, 1 << n)
+                if x.bit_count() & 1 and all((x & s).bit_count() % 2 == 0 for s in supports)
+            )
+            g = _diagonal_signs(n, x)
+        elif reason.startswith("block swap"):
+            g = _block_swap(n, k)
+        else:
+            continue
+        assert count == 1 and g.det < 0 and act(g, rep) == rep
+        decided += 1
+    assert decided == 26
+
+
+def test_diagonal_and_block_swap_criteria_match_the_action():
+    # both ways: the criteria are true exactly when the matrix fixes the form
+    for entry in _catalog():
+        rep, n, k = entry.representative, entry.n, entry.k
+        if rep.is_zero:
+            continue
+        if n <= 8:
+            fixed = any(
+                act(_diagonal_signs(n, x), rep) == rep
+                for x in range(1, 1 << n)
+                if x.bit_count() & 1
+            )
+            assert _diagonal_reversal(rep) == fixed
+        if k % 2 and 2 * k <= n:
+            assert _block_swap_reversal(rep) == (act(_block_swap(n, k), rep) == rep)
+        else:
+            assert not _block_swap_reversal(rep)
+
+
+def test_component_counts_build_no_matrix(monkeypatch):
+    classify_module = importlib.import_module("formlab.classify")
+    exterior = importlib.import_module("formlab.exterior")
+    assert not hasattr(classify_module, "LinMap") and not hasattr(classify_module, "act")
+
+    def no_matrix(*args):
+        raise AssertionError("a component count built a matrix")
+
+    monkeypatch.setattr(exterior.LinMap, "__init__", no_matrix)
+    monkeypatch.setattr(exterior, "act", no_matrix)
+    catalog_entries.cache_clear()
+    try:
+        for n in range(5, MAX_DIMENSION + 1):
+            assert len(catalog_entries(n, n - 2)) == len(CATALOG_COMPONENTS[n, n - 2])
+    finally:
+        catalog_entries.cache_clear()
 
 
 # ----------------------------------------------------------- classification
