@@ -43,7 +43,6 @@ from .invariants import (
     StabAlgebra,
     _contraction_rows,
     _reduced_stabilizer,
-    _stable_three_form,
     length_and_sign,
     rank,
 )
@@ -393,9 +392,10 @@ class CatalogEntry:
     provenance is "literature" for normal forms fixed by classical
     classification results and "derived" for representatives constructed
     here.  fingerprint is stored only for entries the generic classifier
-    consults (degrees other than 2 and n-2); component counts come from
-    determinant constraints or from parity and index-permutation criteria
-    on the terms (see _component_count).
+    consults (degrees other than 2 and n-2).  A component count comes from
+    a parity or index-permutation criterion on the terms, or from an SL
+    constraint that the top power or the fingerprint gives (see
+    _component_count).
     """
 
     name: str
@@ -430,16 +430,27 @@ def _diagonal_reversal(phi: Form) -> bool:
     """True when a diagonal sign matrix of determinant -1 fixes phi.
 
     Pulling back by diag(eps) scales the coefficient at I by the product of
-    eps_i over I.  So the sign pattern x (bit i - 1 set where eps_i = -1)
-    fixes phi exactly when it meets every support in an even number of bits,
-    and has determinant -1 exactly when its own bit count is odd.  With
-    n <= MAX_DIMENSION there are at most 2^12 patterns to try.
+    eps_i over I.  Read a sign pattern and each support (the index set of a
+    term) as vectors over GF(2).  The pattern x fixes phi exactly when it is
+    orthogonal to every support, that is x lies in V^perp for V their span,
+    and has determinant -1 exactly when x . 1 = 1, 1 the all-ones vector.
+    Since V^perp^perp = V, such an x exists exactly when 1 is not in V.
+    Each support is reduced against one pivot per top bit, then 1 is.  A
+    coordinate vector e_i in ker phi means i lies in no support, so 1 is
+    not in V: the reflection in e_i decides every zero form and every
+    degenerate catalog representative.
     """
-    supports = [sum(1 << (i - 1) for i in idx) for idx in phi.terms]
-    return any(
-        x.bit_count() & 1 and not any((x & s).bit_count() & 1 for s in supports)
-        for x in range(1, 1 << phi.n)
-    )
+    pivots = [0] * (phi.n + 1)
+
+    def reduce(x: int) -> int:
+        while x and pivots[x.bit_length()]:
+            x ^= pivots[x.bit_length()]
+        return x
+
+    for idx in phi.terms:
+        x = reduce(sum(1 << (i - 1) for i in idx))
+        pivots[x.bit_length()] = x
+    return reduce((1 << phi.n) - 1) != 0
 
 
 def _block_swap_reversal(phi: Form) -> bool:
@@ -460,37 +471,32 @@ def _block_swap_reversal(phi: Form) -> bool:
     return True
 
 
-def _component_count(rep: Form) -> tuple[int | None, str]:
+def _component_count(rep: Form, fp: Fingerprint | None) -> tuple[int | None, str]:
     """Connected components of the full orbit of a catalog representative.
 
     Returns (count, reason).  The count is 1 exactly when some stabilizer
-    element has determinant -1.  Degenerate forms always admit one (a
-    kernel reflection); top-power and Gram determinant constraints force
-    stabilizers into SL; a diagonal sign pattern or a block swap that fixes
-    the form, each decided on its index sets alone, settles the remaining
-    cases.
+    element has determinant -1.  fp is rep's fingerprint, None in degrees 2
+    and n - 2.  Cheapest first: a diagonal sign pattern or a block swap
+    that fixes the form, each decided on its index sets alone, gives 1; a
+    nonzero top power or (7,3) stability forces stabilizers into SL and
+    gives 2.  No form meets both kinds, so the order moves no count.
     """
     n, k = rep.n, rep.k
-    if rep.is_zero:
-        return 1, "zero form"
-    if k >= 1 and rank(rep) < n:
-        return 1, "degenerate: kernel reflection reverses orientation"
-    # phi ^ phi = 0 for odd k, so only an even k or k = n has a nonzero top power
-    if k >= 1 and n % k == 0 and (k % 2 == 0 or n == k):
-        m = n // k
-        power = rep
-        for _ in range(m - 1):
-            power = wedge(power, rep)
-        if not power.is_zero:
-            return 2, "nonzero top wedge power pins stabilizers into SL"
-    # stable means det B != 0 for Bryant's B, and a stabilizing h has
-    # B(hv, hw) = det(h) B(v, w), so det(h)^2 = det(h)^7: h lies in SL(7)
-    if k == 3 and n == 7 and _stable_three_form(rep) is not None:
-        return 2, "nondegenerate contraction Gram form pins stabilizers into SL"
     if _diagonal_reversal(rep):
         return 1, "diagonal sign change of determinant -1 fixes the form"
     if _block_swap_reversal(rep):
         return 1, "block swap of determinant -1 fixes the form"
+    # phi ^ phi = 0 for odd k, so only an even k or k = n has a nonzero top power
+    if n % k == 0 and (k % 2 == 0 or n == k):
+        power = rep
+        for _ in range(n // k - 1):
+            power = wedge(power, rep)
+        if not power.is_zero:
+            return 2, "nonzero top wedge power pins stabilizers into SL"
+    # stable (stab dim 14) means det B != 0 for Bryant's B, and a stabilizing
+    # h has B(hv, hw) = det(h) B(v, w), so det(h)^2 = det(h)^7: h lies in SL(7)
+    if (n, k) == (7, 3) and fp.stab_dim == 14:
+        return 2, "nondegenerate contraction Gram form pins stabilizers into SL"
     return None, "component count undetermined"
 
 
@@ -504,7 +510,7 @@ def _has_complete_invariant(n: int, k: int) -> bool:
 
 
 def _entry(name: str, rep: Form, note: str, provenance: str) -> CatalogEntry:
-    components, _ = _component_count(rep)
+    fp = None if _has_complete_invariant(rep.n, rep.k) else fingerprint(rep)
     return CatalogEntry(
         name=name,
         n=rep.n,
@@ -512,8 +518,8 @@ def _entry(name: str, rep: Form, note: str, provenance: str) -> CatalogEntry:
         representative=rep,
         stabilizer_note=note,
         provenance=provenance,
-        fingerprint=None if _has_complete_invariant(rep.n, rep.k) else fingerprint(rep),
-        components=components,
+        fingerprint=fp,
+        components=_component_count(rep, fp)[0],
     )
 
 

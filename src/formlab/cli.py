@@ -242,9 +242,12 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_act(args: argparse.Namespace) -> dict[str, Any]:
     element, _omega, _mu, meta = _load_element(args)
-    g = LinMap(_load_matrix(args.matrix, "--matrix"))
-    if g.n != element.n:
-        raise DomainError(f"matrix is {g.n}x{g.n} but the element lives on R^{element.n}")
+    rows = _load_matrix(args.matrix, "--matrix")
+    # before LinMap, whose determinant costs O(N^3) on an N x N matrix
+    n = len(rows)
+    if n != element.n:
+        raise DomainError(f"matrix is {n}x{n} but the element lives on R^{element.n}")
+    g = LinMap(rows)
     moved = act(g, element) if isinstance(element, Form) else act_vectors(g, element)
     return {
         "command": "act",

@@ -454,9 +454,11 @@ def test_match_catalog():
 # --------------------------------------------------------- component counts
 
 # Component count of every catalog entry for n <= MAX_DIMENSION, in catalog
-# order.  The two Nones are Martinet forms of even length l = n/2 whose count
-# no criterion of _component_count decides; bench/golden/cli_corpus.json pins
-# the one on R^12 through its `catalog 12 10` documents.
+# order.  Every zero or degenerate entry has a coordinate vector in its
+# kernel, so the reflection in it, a sign pattern, decides its 1.  The two
+# Nones are Martinet forms of even length l = n/2 whose count no criterion
+# of _component_count decides; bench/golden/cli_corpus.json pins the one on
+# R^12 through its `catalog 12 10` documents.
 CATALOG_COMPONENTS = {
     (1, 1): {"decomposable": 2},
     (2, 1): {"decomposable": 1},
@@ -554,6 +556,20 @@ def _catalog():
             yield from catalog_entries(n, k)
 
 
+def _first_sign_pattern(phi):
+    # the first odd sign pattern meeting every support in an even number of
+    # bits, by scanning all 2^n - 1 patterns: the oracle of _diagonal_reversal
+    supports = [sum(1 << (i - 1) for i in idx) for idx in phi.terms]
+    return next(
+        (
+            x
+            for x in range(1, 1 << phi.n)
+            if x.bit_count() & 1 and not any((x & s).bit_count() & 1 for s in supports)
+        ),
+        None,
+    )
+
+
 def _diagonal_signs(n, x):
     # the sign matrix with -1 at bit i - 1 of x
     return LinMap.diagonal([-1 if x >> i & 1 else 1 for i in range(n)])
@@ -578,29 +594,37 @@ def test_component_count_witnesses_fix_the_representative():
     decided = 0
     for entry in _catalog():
         rep, n, k = entry.representative, entry.n, entry.k
-        count, reason = _component_count(rep)
+        count, reason = _component_count(rep, entry.fingerprint)
         assert count == entry.components
         if reason.startswith("diagonal"):
-            supports = [sum(1 << (i - 1) for i in idx) for idx in rep.terms]
-            x = next(
-                x
-                for x in range(1, 1 << n)
-                if x.bit_count() & 1 and all((x & s).bit_count() % 2 == 0 for s in supports)
-            )
-            g = _diagonal_signs(n, x)
+            g = _diagonal_signs(n, _first_sign_pattern(rep))
         elif reason.startswith("block swap"):
             g = _block_swap(n, k)
         else:
             continue
         assert count == 1 and g.det < 0 and act(g, rep) == rep
         decided += 1
-    assert decided == 26
+    # 26 full-rank entries and the 78 zero or degenerate ones
+    assert decided == 104
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_span_criterion_matches_the_pattern_scan(data):
+    # sparse forms up to R^10, past the n <= 8 of the action check below
+    n = data.draw(st.integers(1, 10))
+    k = data.draw(st.integers(1, n))
+    index = st.sampled_from(list(combinations(range(1, n + 1), k)))
+    phi = Form(n, k, {idx: 1 for idx in data.draw(st.lists(index, max_size=8))})
+    assert _diagonal_reversal(phi) == (_first_sign_pattern(phi) is not None)
 
 
 def test_diagonal_and_block_swap_criteria_match_the_action():
-    # both ways: the criteria are true exactly when the matrix fixes the form
+    # both ways: the criteria are true exactly when the matrix fixes the form;
+    # the pattern scan stands in for the action at every n
     for entry in _catalog():
         rep, n, k = entry.representative, entry.n, entry.k
+        assert _diagonal_reversal(rep) == (_first_sign_pattern(rep) is not None)
         if rep.is_zero:
             continue
         if n <= 8:
@@ -619,17 +643,33 @@ def test_diagonal_and_block_swap_criteria_match_the_action():
 def test_component_counts_build_no_matrix(monkeypatch):
     classify_module = importlib.import_module("formlab.classify")
     exterior = importlib.import_module("formlab.exterior")
+    invariants = importlib.import_module("formlab.invariants")
     assert not hasattr(classify_module, "LinMap") and not hasattr(classify_module, "act")
+    assert not hasattr(classify_module, "_stable_three_form")
 
-    def no_matrix(*args):
-        raise AssertionError("a component count built a matrix")
+    def no_solve(*args):
+        raise AssertionError("a component count built a matrix or solved a rank")
 
-    monkeypatch.setattr(exterior.LinMap, "__init__", no_matrix)
-    monkeypatch.setattr(exterior, "act", no_matrix)
+    monkeypatch.setattr(classify_module, "rank", no_solve)
     catalog_entries.cache_clear()
     try:
-        for n in range(5, MAX_DIMENSION + 1):
-            assert len(catalog_entries(n, n - 2)) == len(CATALOG_COMPONENTS[n, n - 2])
+        with monkeypatch.context() as m:
+            m.setattr(exterior.LinMap, "__init__", no_solve)
+            m.setattr(exterior, "act", no_solve)
+            for n in range(2, MAX_DIMENSION + 1):
+                assert len(catalog_entries(n, 2)) == len(CATALOG_COMPONENTS[n, 2])
+            for n in range(5, MAX_DIMENSION + 1):
+                assert len(catalog_entries(n, n - 2)) == len(CATALOG_COMPONENTS[n, n - 2])
+        # the (7,3) fingerprints reduce split-2 with a LinMap, but the counts
+        # read stability off them rather than building Bryant's B again
+        calls = []
+        stable = invariants._stable_three_form
+        monkeypatch.setattr(
+            invariants, "_stable_three_form", lambda phi: calls.append(phi) or stable(phi)
+        )
+        catalog_entries(7, 3)
+        # split-2's rank-6 reduction and the two G2 forms, once each
+        assert len(calls) == 3
     finally:
         catalog_entries.cache_clear()
 

@@ -149,7 +149,7 @@ def test_bad_json_and_missing_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_domain_errors_exit_3(tmp_path, capsys):
+def test_domain_errors_exit_3(tmp_path, capsys, monkeypatch):
     big = {"n": 13, "k": 2, "terms": [{"idx": [1, 2], "num": 1}]}
     code, _, err = run(capsys, ["classify", write_doc(tmp_path, big)])
     assert code == 3 and "error:" in err
@@ -162,6 +162,15 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     singular = write_doc(tmp_path, {"matrix": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}, "m.json")
     code, _, err = run(capsys, ["act", path, "--matrix", singular])
     assert code == 3
+
+    # a matrix of the wrong size is refused before LinMap takes its determinant
+    identity4 = [[int(i == j) for j in range(4)] for i in range(4)]
+    wrong = write_doc(tmp_path, {"matrix": identity4}, "w.json")
+    built = []
+    monkeypatch.setattr(importlib.import_module("formlab.cli"), "LinMap", built.append)
+    code, _, err = run(capsys, ["act", path, "--matrix", wrong])
+    assert code == 3 and "matrix is 4x4 but the element lives on R^3" in err
+    assert built == []
 
     code, _, err = run(capsys, ["sample", "4", "2", "--trials", "0"])
     assert code == 3
