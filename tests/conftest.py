@@ -113,6 +113,24 @@ def rref_rank(rows, ncols) -> int:
     return len(rref(rows, ncols)[1])
 
 
+def rank_mod_p_oracle(rows, ncols, p) -> int:
+    """Rank modulo the prime p by textbook Gaussian elimination on residues."""
+    mat = [[x % p for x in row] for row in rows]
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col] * inv % p
+            if f:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
 def nullspace_oracle(rows, ncols):
     """(basis, free columns) read off the reduced row echelon form.
 

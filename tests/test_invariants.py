@@ -179,7 +179,8 @@ def test_stabilizer_dimension_is_action_invariant():
 def test_stabilizer_short_on_leading_rows_needs_no_bareiss(monkeypatch):
     # the (8,4) form of the benchmark's census operation 3 at seed 0: the
     # first 64 of its 70 stabilizer equations have rank 63 modulo P, all 70
-    # have rank 64, so stab = 0 is certified without Bareiss
+    # have rank 64, so stab = 0 is certified without Bareiss, and with no
+    # row packed twice
     rng = random.Random("formlab-bench/census/0/3")
     terms = {idx: c for idx in combinations(range(1, 9), 4) if (c := rng.randint(-9, 9))}
     phi = Form(8, 4, terms)
@@ -190,8 +191,18 @@ def test_stabilizer_short_on_leading_rows_needs_no_bareiss(monkeypatch):
     def no_bareiss(*args):
         raise AssertionError("a full-rank stabilizer system reached Bareiss")
 
+    packed = []
+    pack = linalg._pack
+
+    def spy(residues):
+        packed.append(len(residues))
+        return pack(residues)
+
     monkeypatch.setattr(linalg, "row_echelon_int", no_bareiss)
+    monkeypatch.setattr(linalg, "_pack", spy)
     assert stabilizer_algebra(phi).dim == 0
+    # a row is packed at full length, a pivot at the length of its column
+    assert 0 < packed.count(ncols) <= 70
 
 
 def _indices(n, k):

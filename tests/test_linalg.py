@@ -28,6 +28,7 @@ from conftest import (
     perm_sign,
     pfaffian_oracle,
     random_int_matrix,
+    rank_mod_p_oracle,
     rref_rank,
 )
 
@@ -153,6 +154,28 @@ def _random_times_p(seed, nrows, col):
     return [[x * P if j == col else x for j, x in enumerate(row)] for row in rows]
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_mod_p_is_exact(data):
+    # B C with inner dimension d has rank at most d, and columns multiplied
+    # by P vanish modulo P, so tall, square and wide shapes come both at full
+    # rank and short of it; the pass gives the exact rank modulo P either way
+    # and leaves its input as it was
+    c = data.draw(st.integers(N, 2 * N))
+    m = data.draw(st.integers(1, 2 * N))
+    d = data.draw(st.one_of(st.just(min(m, c)), st.integers(0, min(m, c))))
+    B = data.draw(st.lists(st.lists(small_int, min_size=d, max_size=d), min_size=m, max_size=m))
+    C = data.draw(st.lists(st.lists(small_int, min_size=c, max_size=c), min_size=d, max_size=d))
+    times_p = data.draw(st.sets(st.integers(0, c - 1), max_size=3))
+    mat = [
+        [sum(B[i][t] * C[t][j] for t in range(d)) * (P if j in times_p else 1) for j in range(c)]
+        for i in range(m)
+    ]
+    before = [list(row) for row in mat]
+    assert linalg._rank_mod_p(mat, c) == rank_mod_p_oracle(mat, c, P)
+    assert mat == before
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -168,8 +191,9 @@ def _random_times_p(seed, nrows, col):
     ids=["zero-column", "det-p", "wide-rational", "tall-times-p", "square-times-p", "late-row"],
 )
 def test_full_rank_short_modulo_p_falls_back_to_bareiss(monkeypatch, rows):
-    # full rank over Q, short modulo P on every row: the certificate proves
-    # nothing, so the answer comes from one Bareiss pass on all rows
+    # full rank over Q, short modulo P once every row is added: the
+    # certificate proves nothing, so the answer comes from one Bareiss pass
+    # on all rows
     calls = []
 
     def spy(mat, ncols):
@@ -195,8 +219,8 @@ def test_full_rank_certified_without_bareiss(monkeypatch):
     assert nullspace_rows(tall, N) == ([], [])
     assert rank_rows(tall, N) == N
     assert rank_rows(random_int_matrix(random.Random(2), 5, N), N) == 5
-    # the first N rows are short over Q too; the pass over every row
-    # reaches the last one, which completes them
+    # the first N rows are short over Q too; the pass goes on to the last
+    # row, which completes them
     late = _with_identity([])[:-1] + [[1] + [0] * (N - 1), [0] * (N - 1) + [1]]
     assert linalg._rank_mod_p(late[:N], N) < N
     assert rank_rows(late, N) == N
