@@ -18,14 +18,18 @@ Conventions, fixed once and used everywhere:
 Every action is one substitution kernel, _substitute, which replaces each
 basis covector by a row of the matrix.  It runs on Python ints: the
 coefficients and the matrix are scaled once to integers, and each output
-coefficient is divided once at the end by the common scale.
+coefficient is divided once at the end by the common scale.  It removes the
+old indices level by level, last slot first, so inserting j among the m
+other slots at position p gives the sign (-1)^(m - p).  The new indices of
+a partial term are a subset numbered by its bitmask, and where j lands in
+it, with what sign, is looked up in a table per n filled as pairs are met,
+which holds at most 2^n subsets of n + 1 slots.
 
 All arithmetic is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -544,49 +548,100 @@ def multi_interior(X: Polyvector, phi: Form) -> Form:
     return Form(phi.n, phi.k - X.k, out)
 
 
+# The subset tables, shared by every call of _substitute.  A subset S of
+# {1..n} is numbered by its bitmask, index j being bit j - 1, so the empty
+# set is 0, which no insertion returns.  _INSERTS[n][S] is a list over
+# j = 1..n: +-(S with j inserted), signed by (-1)^(number of entries of S
+# above j), or 0 when j is already in S, or None until the pair (S, j) is
+# first met.  A list is made only for an S that is extended, not for one
+# that is only an output.  _TUPLES[S] is S as an ascending tuple, made the
+# first time S is an output.  Every entry is a function of its key alone, so
+# the tables cache no result, and a race between threads can only repeat a
+# fill, never change an answer.  _INSERTS[n] holds at most 2^n subsets of
+# n + 1 slots.
+_INSERTS: dict[int, dict[int, list[int | None]]] = {}
+_TUPLES: dict[int, MultiIndex] = {}
+
+
+def _inserted(s: int, j: int) -> int:
+    """The entry for inserting j into the subset with bitmask s."""
+    bit = 1 << (j - 1)
+    if s & bit:
+        return 0
+    return -(s | bit) if (s >> j).bit_count() % 2 else s | bit
+
+
 def _substitute(terms, rows, n: int) -> dict[MultiIndex, Fraction]:
     """Replace every e^i by sum_j rows[i-1][j-1] e^j in a sparse alternating tensor.
 
     The work runs on Python ints: the coefficients are scaled by the lcm D of
     their denominators and all rows by one common lcm d, so every output term
     of degree k carries the same factor D * d^k, divided out once at the end.
-    Old index i is renamed to n + i, which sorts after every new index, and
-    these are substituted largest first, so the one replaced is always the
-    last slot: inserting j at position p of the other m slots gives the sign
-    (-1)^(m - p), and a j already present gives zero.
+
+    The old indices are removed level by level.  Level L holds the terms
+    that still have L old indices, as T -> {S: coefficient}: T is the tuple
+    of old indices left and S the bitmask of the new indices inserted so far
+    (see _INSERTS).  Level k is the input, with every S empty.  Replacing
+    the last old index t of T by row t sends c at (T, S) to +-c * x at
+    (T[:-1], S + {j}) for each nonzero x = row[j] with j not in S.  In the
+    slots S, T the replaced one is the last, so inserting j at position
+    p = #{s in S : s < j} of the other m = |S| + |T| - 1 slots gives the
+    sign (-1)^(m - p), which is (-1)^(|S| - p) * (-1)^(|T| - 1).  The subset
+    table holds the first factor.  The second is the same for every term of
+    a level, so over the k levels it is (-1)^(k(k-1)/2) for every term,
+    folded into the divisor.  After k levels T is empty, and each S becomes
+    its tuple once, at the division.  The subset table of n lives for the
+    process and holds at most 2^n subsets of n + 1 slots, whatever the
+    inputs.
     """
     if not terms:
         return {}
-    # Tuples here are built from sets and lists, not generators: a tuple
+    # Tuples here are built from slices and lists, not generators: a tuple
     # grown from a generator is freed into the interpreter's free list of
     # another size, which fills up and holds memory on integer workloads,
     # where the cyclic collector that would empty it seldom runs.
     D = lcm(*{c.denominator for c in terms.values()})
-    out = {
-        tuple([n + i for i in idx]): c.numerator * (D // c.denominator)
-        for idx, c in terms.items()
-    }
+    level = {idx: {0: c.numerator * (D // c.denominator)} for idx, c in terms.items()}
+    k = len(next(iter(terms)))
     int_rows, d = _scale_to_int(rows)
-    for i in range(n, 0, -1):
-        fresh = n + i
-        hits = [idx for idx in out if idx and idx[-1] == fresh]
-        row = [(j, x) for j, x in enumerate(int_rows[i - 1], 1) if x]
-        for idx in hits:
-            c = out.pop(idx)
-            rest = idx[:-1]
-            m = len(rest)
-            for j, x in row:
-                p = bisect_left(rest, j)
-                if p < m and rest[p] == j:
+    nonzero = [[(j, x) for j, x in enumerate(row, 1) if x] for row in int_rows]
+    table = _INSERTS.setdefault(n, {})
+    for _ in range(k):
+        below: dict[MultiIndex, dict[int, int]] = {}
+        for T, inner in level.items():
+            row = nonzero[T[-1] - 1]
+            if not row:
+                continue
+            rest = T[:-1]
+            acc = below.get(rest)
+            if acc is None:
+                acc = below[rest] = {}
+            for s, c in inner.items():
+                if not c:
                     continue
-                tgt = rest[:p] + (j,) + rest[p:]
-                acc = out.get(tgt, 0) + (-c * x if (m - p) % 2 else c * x)
-                if acc:
-                    out[tgt] = acc
-                else:
-                    out.pop(tgt, None)
-    div = D * d ** len(next(iter(terms)))
-    return {idx: Fraction(c, div) for idx, c in out.items()}
+                ins = table.get(s)
+                if ins is None:
+                    ins = table[s] = [None] * (n + 1)
+                for j, x in row:
+                    v = ins[j]
+                    if v is None:
+                        v = ins[j] = _inserted(s, j)
+                    if v > 0:
+                        acc[v] = acc.get(v, 0) + c * x
+                    elif v:
+                        acc[-v] = acc.get(-v, 0) - c * x
+        level = below
+    div = D * d**k
+    if k * (k - 1) // 2 % 2:
+        div = -div
+    out = {}
+    for s, c in level.get((), {}).items():
+        if c:
+            idx = _TUPLES.get(s)
+            if idx is None:
+                idx = _TUPLES[s] = tuple([j for j in range(1, n + 1) if s >> (j - 1) & 1])
+            out[idx] = Fraction(c, div)
+    return out
 
 
 def act(g: LinMap, phi: Form) -> Form:

@@ -58,10 +58,12 @@ def pfaffian_oracle(skew) -> Fraction:
 def substitute_oracle(terms, rows, n):
     """Replace every e^i by sum_j rows[i-1][j-1] e^j, on Fraction throughout.
 
-    The reference for exterior._substitute: the same largest-slot-first loop,
-    with every product and sum taken on Fraction.  Old index i is renamed to
-    n + i and always sits in the last slot when it is replaced, so inserting
-    j at position p of the other m slots gives the sign (-1)^(m - p).
+    An independent reference for exterior._substitute: the kernel's previous
+    loop, kept on Fraction, with no subset table and no levels.  It runs over
+    the old indices from n down to 1, each time scanning every term for the
+    one in its last slot.  Old index i is renamed to n + i and always sits in
+    the last slot when it is replaced, so inserting j at position p of the
+    other m slots gives the sign (-1)^(m - p).
     """
     out = {tuple(n + i for i in idx): Fraction(c) for idx, c in terms.items()}
     for i in range(n, 0, -1):

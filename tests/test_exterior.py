@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -331,6 +332,54 @@ def test_substitute_matches_fraction_oracle(data):
             q = data.draw(st.fractions(-3, 3, max_denominator=5))
             rows[i] = [q * x for x in rows[j]]
     assert _substitute(terms, rows, n) == substitute_oracle(terms, rows, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_substitute_dense_matches_fraction_oracle(data):
+    # every multi-index of degree k carries a coefficient and every row is a
+    # dense integer row, so each level of the kernel is as full as it gets
+    n = data.draw(st.integers(0, 9))
+    k = data.draw(st.integers(0, n))
+    idxs = list(combinations(range(1, n + 1), k))
+    cs = data.draw(st.lists(rational_coeffs, min_size=len(idxs), max_size=len(idxs)))
+    terms = dict(zip(idxs, cs))
+    entry = st.integers(-5, 5).filter(bool)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assert _substitute(terms, rows, n) == substitute_oracle(terms, rows, n)
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_substitute_sparse_top_degrees_at_n12(k, seed):
+    # a few terms of degree n - 2, n - 1 and n on R^12, moved by rational
+    # rows with some zero entries
+    rng = random.Random(seed * 100 + k)
+    n = 12
+    idxs = list(combinations(range(1, n + 1), k))
+    terms = {
+        idx: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+        for idx in rng.sample(idxs, min(3, len(idxs)))
+    }
+    rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    assert _substitute(terms, rows, n) == substitute_oracle(terms, rows, n)
+
+
+def test_substitute_on_interleaved_shapes(rng):
+    # the subset tables outlive the call that filled them, and the tuples
+    # are shared by every n: calls at n = 7, 9, 7, 12 and then the first one
+    # again must each equal the oracle
+    calls = []
+    for n, k, count in [(7, 3, 20), (9, 4, 30), (7, 4, 35), (12, 6, 4)]:
+        idxs = list(combinations(range(1, n + 1), k))
+        terms = {idx: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for idx in rng.sample(idxs, count)}
+        calls.append((terms, random_int_matrix(rng, n, n), n))
+    calls.append(calls[0])
+    results = []
+    for terms, rows, n in calls:
+        results.append(_substitute(terms, rows, n))
+        assert results[-1] == substitute_oracle(terms, rows, n)
+    assert results[-1] == results[0]
 
 
 @settings(max_examples=30, deadline=None)
