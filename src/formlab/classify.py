@@ -239,6 +239,12 @@ def fingerprint(phi: Form) -> Fingerprint:
       one positive direction, and no cross term survives:
       killing = (l(l+1) + m(m+1)/2, l^2 + m(m-1)/2, 2lm).
 
+    A 2-form of rank r = 2l > 2 solves nothing beyond its rank either:
+    phi_r is symplectic, so profile = (r,) and stab(phi_r) = sp(r), simple,
+    of dimension l(2l + 1) and Killing inertia (l(l+1), l^2, 0).  On R^r it
+    acts by its defining representation, so tau = 0, T is a positive multiple
+    of K_r, and the lift is that of stable 3-forms below.
+
     A stable 3-form of rank r = 6 or 7 solves nothing beyond its rank
     either: one exact invariant of phi_r, built from the 5-forms
     psi_w = i_{e_w} phi_r ^ phi_r, names its stabilizer.

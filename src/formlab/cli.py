@@ -207,11 +207,7 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
         r = red.r
         inv["rank"] = r
         inv["multisymplectic"] = r == n
-        frame = red.frame.entries
-        inv["kernel"] = [
-            element_to_document(Polyvector.from_coords([row[c] for row in frame]))
-            for c in range(r, n)
-        ]
+        inv["kernel"] = [element_to_document(Polyvector.from_coords(v)) for v in red.kernel]
         inv["reduction"] = {"r": r, "reduced": element_to_document(red.reduced)}
         if r < n:
             if isinstance(element, Polyvector) and not element.is_zero:
@@ -221,8 +217,7 @@ def cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
                     "contraction_rate": w.rate,
                     "basis": _matrix_json(w.basis),
                 }
-            u = [row[r] for row in frame]
-            witnesses["orientation_reversing"] = _matrix_json(_kernel_reflection(u))
+            witnesses["orientation_reversing"] = _matrix_json(_kernel_reflection(red.kernel[0]))
     else:
         inv["rank"] = None
     orbit_dim = n * n - fp.stab_dim

@@ -33,7 +33,6 @@ from .exterior import (
     contract_sign,
     normalize_index,
     poincare_inv,
-    pullback,
 )
 from .linalg import (
     Scalar,
@@ -122,7 +121,7 @@ def _kernel_reflection(u: list[Scalar]) -> LinMap:
 
     i_u phi = 0 gives g^* phi = phi; g^2 = I, so act(g, phi) = phi, and
     det g = -1.  A kernel vector of nullspace_rows lives on the pivot columns
-    plus its own free column f, and reduce_form's frame puts the pivot
+    plus its own free column f, and a Reduction's frame puts the pivot
     coordinate vectors before the kernel.  So for u the frame's column r + 1,
     every other column vanishes at f, row r + 1 of frame^{-1} is e_f^T / u_f,
     and g is frame . diag(1^r, -1, 1, ...) . frame^{-1} exactly.
@@ -137,16 +136,23 @@ def _kernel_reflection(u: list[Scalar]) -> LinMap:
 class Reduction:
     """A form rewritten on the minimal dimension it actually uses.
 
-    embedding holds the first r columns of the frame: the map R^r -> R^n
-    identifying the reduced coordinates with a complement of the kernel.
-    reconstruct() is an exact inverse of the reduction.
+    kernel is the basis of ker L_phi that nullspace_rows returns, each vector
+    ending at its own free column; reduced is phi restricted to the other r
+    coordinates, relabeled 1..r.  frame, derived on demand, has their unit
+    vectors and then the kernel as columns; reconstruct() inverts exactly.
     """
 
     r: int
     reduced: Form
-    embedding: tuple[tuple[Fraction, ...], ...]
-    frame: LinMap
+    kernel: tuple[tuple[int, ...], ...]
     original_n: int
+
+    @property
+    def frame(self) -> LinMap:
+        n = self.original_n
+        free = {max(i for i in range(n) if v[i]) for v in self.kernel}
+        cols = [[int(i == c) for i in range(n)] for c in range(n) if c not in free]
+        return LinMap.from_columns(cols + list(self.kernel))
 
     def reconstruct(self) -> Form:
         inflated = Form(self.original_n, self.reduced.k, dict(self.reduced.terms))
@@ -154,43 +160,29 @@ class Reduction:
 
 
 def reduce_form(phi: Form) -> Reduction:
-    """Split off ker L_phi and express phi on the complement, relabeled to R^r.
+    """Split off ker L_phi and restrict phi to the pivot coordinates c_1 < ... < c_r.
 
-    One nullspace solve of the degree-1 contraction system gives r, the frame
-    and the kernel.  The first r columns of the frame are the coordinate
-    directions at which the echelon form has pivots, spanning a complement of
-    the kernel; the last n - r are the kernel basis itself.  At full rank the
-    frame is the identity and phi is its own reduction, so no pullback is
-    taken.
+    One nullspace solve of the degree-1 contraction system gives r and the
+    kernel.  Column t <= r of the frame is e_{c_t}, so frame^* phi is phi's
+    own coefficient at (c_{t_1}, ..., c_{t_k}) on (t_1, ..., t_k), and has no
+    term past r exactly when every kernel vector contracts phi to zero, which
+    is checked on the integer rows.  A zero form has r = 0 and kernel e_1..e_n.
     """
     if phi.k < 1:
         raise DegreeError("reduce needs degree at least 1")
     n = phi.n
-    if phi.is_zero:
-        return Reduction(
-            r=0,
-            reduced=Form(0, phi.k),
-            embedding=tuple(() for _ in range(n)),
-            frame=LinMap.identity(n),
-            original_n=n,
-        )
-    kernel, free = _kernel_basis(phi)
+    rows, ncols = _contraction_rows(phi)
+    kernel, free = nullspace_rows(rows, ncols)
+    if any(sum(map(mul, v, row)) for v in kernel for row in rows):
+        raise AssertionError("a kernel vector does not contract phi to zero")
     r = n - len(kernel)
-    if r == n:
-        frame = LinMap.identity(n)
-        return Reduction(r=n, reduced=phi, embedding=frame.entries, frame=frame, original_n=n)
-    free_cols = set(free)
-    cols: list[list[Scalar]] = [
-        [int(i == c) for i in range(n)] for c in range(n) if c not in free_cols
-    ]
-    frame = LinMap.from_columns(cols + kernel)
-    raw = pullback(frame, phi)
-    for idx in raw.terms:
-        if idx and idx[-1] > r:
-            raise AssertionError("reduction left support outside the complement")
-    reduced = Form(r, phi.k, dict(raw.terms))
-    embedding = tuple(row[:r] for row in frame.entries)
-    return Reduction(r=r, reduced=reduced, embedding=embedding, frame=frame, original_n=n)
+    reduced = phi
+    if r < n:
+        pos = {c + 1: t for t, c in enumerate(sorted(set(range(n)).difference(free)), 1)}
+        kept = [(idx, c) for idx, c in phi.terms.items() if pos.keys() >= set(idx)]
+        # from a list, not a generator: see _substitute
+        reduced = Form(r, phi.k, {tuple([pos[i] for i in idx]): c for idx, c in kept})
+    return Reduction(r=r, reduced=reduced, kernel=tuple(map(tuple, kernel)), original_n=n)
 
 
 def infinitesimal_act(A: LinMap, phi: Form) -> Form:
@@ -442,8 +434,8 @@ def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
     """The fingerprint of phi_r as (profile, s_r, killing) when it needs no solve.
 
     Derived in classify.fingerprint: decomposable forms (r = k), full-rank
-    (n-2)-forms and stable 3-forms of rank 6, 7 or 8.  None for every other
-    form.
+    (n-2)-forms, 2-forms of rank r > 2 (phi_r is symplectic) and stable
+    3-forms of rank 6, 7 or 8.  None for every other form.
     """
     n, k, r = red.original_n, red.reduced.k, red.r
     if r == k:
@@ -460,6 +452,9 @@ def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
         )
         killing = (l * (l + 1) + m * (m + 1) // 2, l * l + m * (m - 1) // 2, 2 * l * m)
         return profile, n * (n + 1) // 2 + m * (m - 1) // 2, killing
+    if k == 2:
+        l = r // 2
+        return (r,), l * (2 * l + 1), (l * (l + 1), l * l, 0)
     if k == 3 and r in (6, 7, 8):
         return _stable_three_form(red.reduced)
     return None
@@ -473,7 +468,7 @@ def _reduced_stabilizer(
     For phi of rank r >= 1, stab(phi) = (stab(phi_r) + gl(n - r)) x
     Hom(R^r, R^(n-r)) on the rank-r reduction phi_r (see classify.fingerprint),
     so this returns (reduce_form(phi), stabilizer_algebra(phi_r),
-    s_r + n(n - r), None) and solves only the r^2-column system.  Three kinds
+    s_r + n(n - r), None) and solves only the r^2-column system.  Four kinds
     of form solve nothing beyond the degree-1 system of reduce_form
     (_closed_form); their algebra is None and the fingerprint of phi_r,
     (profile, s_r, killing), comes last:
@@ -483,6 +478,8 @@ def _reduced_stabilizer(
       kernel), read off its dual bivector by length_and_sign.  A caller that
       already holds phi's LengthSign, under any volume, passes it as ls, and
       the length is read from it instead;
+    * a 2-form of rank r = 2l > 2 has a symplectic phi_r, whose stabilizer
+      is sp(r);
     * a 3-form of rank 6 with Hitchin's lambda != 0, of rank 7 with
       Bryant's B nondegenerate, or of rank 8 with the sextic Q
       nondegenerate, is stable, and the sign of lambda, the definiteness of

@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from formlab import Form, Polyvector, interior
+from formlab import Form, LinMap, Polyvector, interior, pullback
 from formlab.classify import _LITERATURE
 from formlab.linalg import primitive_vector
 
@@ -150,6 +150,26 @@ def nullspace_oracle(rows, ncols):
             x[pc] = -mat[r][f]
         basis.append(primitive_vector(x))
     return basis, free
+
+
+def reduction_oracle(phi: Form) -> tuple[Form, LinMap]:
+    """(phi_r, frame) by pulling phi back along a frame.
+
+    The kernel of v -> i_v(phi) comes from textbook Gauss-Jordan on the
+    contractions by each basis vector.  The frame's columns are the unit
+    vectors of the pivot columns, then that kernel; frame^* phi must have
+    no term past r, and it is phi_r on R^r.
+    """
+    n, k = phi.n, phi.k
+    images = [interior(Polyvector.basis(n, (j,)), phi) for j in range(1, n + 1)]
+    rows = [[x.coeff(I) for x in images] for I in combinations(range(1, n + 1), k - 1)]
+    kernel, free = nullspace_oracle(rows, n)
+    r = n - len(kernel)
+    cols = [[int(i == c) for i in range(n)] for c in range(n) if c not in free]
+    frame = LinMap.from_columns(cols + kernel)
+    raw = pullback(frame, phi)
+    assert all(idx[-1] <= r for idx in raw.terms), "support outside the complement"
+    return Form(r, k, dict(raw.terms)), frame
 
 
 def rank_profile_oracle(phi: Form) -> tuple[int, ...]:

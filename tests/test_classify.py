@@ -1,4 +1,5 @@
 import importlib
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -266,6 +267,34 @@ def test_fingerprint_closed_form_of_decomposable_forms(data):
     assert rank(phi) == k
     _assert_fingerprint_is_generic(phi)
     assert orbit_dimension(phi) == n * n - stabilizer_algebra(phi).dim
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fingerprint_closed_form_of_two_forms(data):
+    # rank 2l > 2: stab(phi_r) = sp(2l) with no solve; every rank, degenerate
+    # and full, against the stabilizer of phi itself
+    n = data.draw(st.integers(2, 8))
+    l = data.draw(st.integers(1, n // 2))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+    terms = {(2 * i - 1, 2 * i): data.draw(coeffs) for i in range(1, l + 1)}
+    rng = trial_rng(data.draw(st.integers(0, 2**16)), n)
+    g = random_gl(n, rng, det_sign=data.draw(st.sampled_from((1, -1))))
+    phi = act(g, Form(n, 2, terms))
+    assert rank(phi) == 2 * l
+    _assert_fingerprint_is_generic(phi)
+
+
+def test_fingerprint_of_a_dense_two_form_at_the_cap_solves_no_stabilizer(monkeypatch):
+    def no_stabilizer(phi):
+        raise AssertionError("the fingerprint of a 2-form solved a stabilizer")
+
+    invariants = importlib.import_module("formlab.invariants")
+    monkeypatch.setattr(invariants, "stabilizer_algebra", no_stabilizer)
+    rng = random.Random(0)
+    pairs = combinations(range(1, 13), 2)
+    phi = Form(12, 2, {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in pairs})
+    assert fingerprint(phi) == Fingerprint((12,), 78, (42, 36, 0))
 
 
 def _assert_codim_two_is_generic(phi):
@@ -660,8 +689,8 @@ def test_component_counts_build_no_matrix(monkeypatch):
                 assert len(catalog_entries(n, 2)) == len(CATALOG_COMPONENTS[n, 2])
             for n in range(5, MAX_DIMENSION + 1):
                 assert len(catalog_entries(n, n - 2)) == len(CATALOG_COMPONENTS[n, n - 2])
-        # the (7,3) fingerprints reduce split-2 with a LinMap, but the counts
-        # read stability off them rather than building Bryant's B again
+        # the (7,3) counts read stability off the fingerprints rather than
+        # building Bryant's B again
         calls = []
         stable = invariants._stable_three_form
         monkeypatch.setattr(

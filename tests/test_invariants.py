@@ -55,6 +55,7 @@ from conftest import (
     literature_form,
     nullspace_oracle,
     pfaffian_oracle,
+    reduction_oracle,
     rref_rank,
 )
 
@@ -114,7 +115,7 @@ def test_reduce_frozen_shape():
     assert red.reduced.n == 5 and red.reduced.k == 3
     assert rank(red.reduced) == 5
     assert red.reconstruct() == phi
-    assert len(red.embedding) == 6 and all(len(row) == 5 for row in red.embedding)
+    assert len(red.kernel) == 1 and red.frame.n == 6
 
 
 def test_reduce_after_mixing_coordinates():
@@ -136,6 +137,50 @@ def test_reduce_zero_and_full_rank():
     assert red.r == 4 and red.reduced == phi
     with pytest.raises(DegreeError):
         reduce_form(Form(3, 0, {(): Fraction(1)}))
+
+
+def _moved_rational_form(n, rng, zero=False):
+    # a form on R^r, r <= n, with rational coefficients, inflated to R^n and
+    # moved by a random g; r < n unless n = 1
+    r = rng.randrange(1, n) if n > 1 else 1
+    k = 1 + rng.randrange(r)
+    terms = {}
+    if not zero:
+        for idx in rng.sample(list(combinations(range(1, r + 1), k)), min(comb(r, k), 6)):
+            terms[idx] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 5))
+    g = random_gl(n, rng, det_sign=rng.choice((1, -1)))
+    return act(g, Form(n, k, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), zero=st.booleans(), seed=st.integers(0, 2**32))
+def test_reduction_is_the_frame_pullback(n, zero, seed):
+    # phi_r, read off phi's terms on the pivot coordinates, is frame^* phi
+    phi = _moved_rational_form(n, random.Random(seed), zero)
+    reduced, frame = reduction_oracle(phi)
+    red = reduce_form(phi)
+    assert red.reduced == reduced and red.r == reduced.n
+    assert red.frame == frame
+    assert red.reconstruct() == phi
+
+
+def test_reduction_takes_no_pullback_and_builds_no_matrix(monkeypatch):
+    cases = [Form.zero(4, 2), e(4, 1, 2) + e(4, 3, 4), e(6, 1, 2, 3) + e(6, 1, 4, 5)]
+    cases += [_moved_rational_form(2 + t % 8, trial_rng(23, t)) for t in range(30)]
+    expected = [reduction_oracle(phi)[0] for phi in cases]
+
+    def no_matrix(*args):
+        raise AssertionError("reduce_form took a pullback or built a matrix")
+
+    class NoLinMap(LinMap):
+        def __init__(self, entries):
+            no_matrix()
+
+    monkeypatch.setattr(importlib.import_module("formlab.exterior"), "_substitute", no_matrix)
+    monkeypatch.setattr(importlib.import_module("formlab.invariants"), "LinMap", NoLinMap)
+    for phi, reduced in zip(cases, expected):
+        red = reduce_form(phi)
+        assert red.reduced == reduced and red.r == reduced.n
 
 
 # ------------------------------------------------------------- stabilizers
@@ -448,7 +493,7 @@ def test_orientation_reversing_witness_takes_no_reduction(monkeypatch):
 
     invariants = importlib.import_module("formlab.invariants")
     monkeypatch.setattr(invariants, "reduce_form", no_reduction)
-    monkeypatch.setattr(invariants, "pullback", no_reduction)
+    monkeypatch.setattr(importlib.import_module("formlab.exterior"), "_substitute", no_reduction)
     for phi, oracle in cases:
         assert orientation_reversing_stabilizer_witness(phi) == oracle
 
