@@ -14,20 +14,20 @@ positive scaling.  No elimination here runs on Fraction, and nothing in this
 module ever rounds.
 
 rank_rows, and nullspace_rows on a system with at least as many rows as
-columns, first take the rank modulo the prime _P (_rank_mod_p) once the
-system has _CERTIFY_MIN_COLS columns or more.  Every minor of an integer
-matrix that is nonzero modulo _P is nonzero, so the rank modulo _P never
-exceeds the rank over Q; when it reaches min(rows, columns), that is the
-exact rank, and a nullspace of full column rank is exactly ([], []), what
-Bareiss would return.  The pass adds the rows one at a time to an echelon
-basis modulo _P and stops once the rank is full, so a tall system whose
-leading rows fall short, as when they all come from a few terms of a form,
-simply goes on to its next row, and no row is read twice.  A rank still
-short of full proves nothing, and the Bareiss pass runs on all rows as
-before, so no answer depends on the choice of prime.  _P is below 2^15 so
-that the pass, which packs each row into one int, never carries between
-columns and multiplies by one CPython digit at a time; that is what makes
-it cheaper than Bareiss on the same rows.
+columns, first take the rank modulo the prime _P (_rank_mod_p) when the
+system has _CERTIFY_MIN_COLS columns or more, or at least twice as many rows
+as columns.  Every minor of an integer matrix that is nonzero modulo _P is
+nonzero, so the rank modulo _P never exceeds the rank over Q; when it
+reaches min(rows, columns), that is the exact rank, and a nullspace of full
+column rank is exactly ([], []), what Bareiss would return.  The pass adds
+the rows one at a time to an echelon basis modulo _P and stops once the
+rank is full, so a tall system whose leading rows fall short, as when they
+all come from a few terms of a form, simply goes on to its next row, and no
+row is read twice.  A rank still short of full proves nothing, and the
+Bareiss pass runs on all rows as before, so no answer depends on the choice
+of prime.  _P is below 2^15 so that the pass, which packs each row into one
+int, never carries between columns and multiplies by one CPython digit at a
+time; that is what makes it cheaper than Bareiss on the same rows.
 """
 
 from __future__ import annotations
@@ -48,11 +48,19 @@ _INT_ONLY = frozenset({int})
 # slots and multi-digit products; on plain lists of residues, where the same
 # digit limit holds, either one doubled the time of the pass.
 _P = 32749
-# Below this many columns Bareiss on small entries costs less than the fixed
-# per-column cost of the packed pass (random entries in [-9, 9] on a shared
-# 2-vCPU host: 8 x 8 took 44 us in Bareiss against 96 us modulo _P, 16 x 16
-# 238 us against 132 us), so narrower systems go to Bareiss directly.  From
-# 12 up, the degree-1 contraction map at the dimension cap is still tried.
+# A narrow system goes to Bareiss directly unless it is tall.  On a square
+# system of small entries Bareiss costs less than the fixed per-column cost
+# of the packed pass (random entries in [-9, 9] on a shared 2-vCPU host:
+# 8 x 8 took 44 us in Bareiss against 96 us modulo _P, 16 x 16 238 us against
+# 132 us), so the pass is tried from _CERTIFY_MIN_COLS columns up, where the
+# degree-1 contraction map at the dimension cap falls.  A system with at
+# least twice as many rows as columns is tried at any width: the pass stops
+# after about ncols rows, while Bareiss updates every row below each pivot.
+# On the degree-1 contraction maps of generic forms with entries in [-9, 9]
+# (same host, in-process, best of 5, row scaling included): 56 x 8 of a
+# 4-form on R^8 took 0.23-0.25 ms in Bareiss against 0.062 ms modulo _P,
+# 28 x 8 of a 3-form on R^8 0.119 against 0.051 ms, 21 x 7 on R^7 0.073-0.077
+# against 0.041 ms and 15 x 6 on R^6 0.038 against 0.030 ms.
 _CERTIFY_MIN_COLS = 12
 
 __all__ = [
@@ -222,14 +230,20 @@ def _rank_mod_p(mat: Sequence[Sequence[int]], ncols: int) -> int:
     return rank
 
 
+def _certifies(nrows: int, ncols: int) -> bool:
+    """Whether a system of this shape is worth the pass modulo _P first."""
+    return ncols >= _CERTIFY_MIN_COLS or nrows >= 2 * ncols
+
+
 def rank_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
     """Rank over Q: certified modulo _P when full, else by Bareiss.
 
-    Systems with fewer than _CERTIFY_MIN_COLS columns skip the certificate.
+    Systems with fewer than _CERTIFY_MIN_COLS columns skip the certificate
+    unless they have at least twice as many rows as columns.
     """
     mat = to_int_rows(rows)
     full = min(len(mat), ncols)
-    if ncols >= _CERTIFY_MIN_COLS and _rank_mod_p(mat, ncols) == full:
+    if _certifies(len(mat), ncols) and _rank_mod_p(mat, ncols) == full:
         return full
     pivots, _ = row_echelon_int(mat, ncols)
     return len(pivots)
@@ -259,10 +273,11 @@ def nullspace_rows(
     A system with at least as many rows as columns is first tried modulo _P:
     full column rank there returns ([], []) with no Bareiss pass.  A wider
     system always has a kernel, so it goes to Bareiss directly, and so does
-    one with fewer than _CERTIFY_MIN_COLS columns.
+    one with fewer than _CERTIFY_MIN_COLS columns and fewer than twice as
+    many rows as columns.
     """
     mat = to_int_rows(rows)
-    if _CERTIFY_MIN_COLS <= ncols <= len(mat) and _rank_mod_p(mat, ncols) == ncols:
+    if ncols <= len(mat) and _certifies(len(mat), ncols) and _rank_mod_p(mat, ncols) == ncols:
         return [], []
     pivots, _ = row_echelon_int(mat, ncols)
     pivot_cols = {pc for _, pc in pivots}

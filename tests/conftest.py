@@ -8,11 +8,13 @@ in the package is meaningful evidence.
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb, lcm
 
 import pytest
 
 from formlab import Form, LinMap, Polyvector, interior, pullback
 from formlab.classify import _LITERATURE
+from formlab.exterior import contract_sign
 from formlab.linalg import primitive_vector
 
 
@@ -170,6 +172,56 @@ def reduction_oracle(phi: Form) -> tuple[Form, LinMap]:
     raw = pullback(frame, phi)
     assert all(idx[-1] <= r for idx in raw.terms), "support outside the complement"
     return Form(r, k, dict(raw.terms)), frame
+
+
+def _scaled_terms(t):
+    scale = lcm(*[c.denominator for c in t.terms.values()])
+    return [(idx, int(c * scale)) for idx, c in t.terms.items()]
+
+
+def contraction_rows_oracle(t, j):
+    """Rows of X -> i_X(t) for X of degree j: every column J against every term.
+
+    t is scaled to integers by the lcm of its denominators.  Columns are the
+    degree-j multi-indices J in lexicographic order, and a term e^I meets
+    column J through contract_sign when J is a subset of I.  Rows come in no
+    fixed order, so compare them as a multiset.
+    """
+    n = t.n
+    rows = {}
+    for col, J in enumerate(combinations(range(1, n + 1), j)):
+        for idx, c in _scaled_terms(t):
+            hit = contract_sign(idx, J)
+            if hit is not None:
+                rest, sign = hit
+                row = rows.setdefault(rest, {})
+                row[col] = row.get(col, 0) + sign * c
+    ncols = comb(n, j)
+    return [[row.get(col, 0) for col in range(ncols)] for row in rows.values()], ncols
+
+
+def stabilizer_rows_oracle(terms, n):
+    """Rows of A -> infinitesimal_act(A, phi) from the integer terms of phi, by slot and gap.
+
+    A[i][b] moves e^idx to e^(idx with b in slot p of i): zero when b is
+    another index of idx, else b sorts into gap q of the rest with |p - q|
+    transpositions.  Rows come in order of first use, term by term, slot by
+    slot, gap by gap and b ascending, as _stabilizer_rows gives them.
+    """
+    cols = n * n
+    rows = {}
+    for idx, c in terms:
+        for p, i in enumerate(idx):
+            rest = idx[:p] + idx[p + 1 :]
+            bounds = (0,) + rest + (n + 1,)
+            col = (i - 1) * n - 1
+            for q in range(len(idx)):
+                head, tail = rest[:q], rest[q:]
+                x = c if (p - q) % 2 else -c
+                for b in range(bounds[q] + 1, bounds[q + 1]):
+                    row = rows.setdefault(head + (b,) + tail, [0] * cols)
+                    row[col + b] += x
+    return list(rows.values()), cols
 
 
 def rank_profile_oracle(phi: Form) -> tuple[int, ...]:

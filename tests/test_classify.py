@@ -947,16 +947,25 @@ def test_stable_three_forms_solve_only_their_rank(monkeypatch):
 
 
 def test_stable_three_forms_of_rank_eight_solve_only_their_rank(monkeypatch):
-    # det Q != 0 certifies stability: neither the stabilizer system nor a
-    # rank modulo a prime is built
+    # det Q != 0 certifies stability: the stabilizer system is not built,
+    # and the only rank taken modulo a prime is that of the tall degree-1
+    # system of reduce_form, with n columns
     def no_solve(*args):
         raise AssertionError("a stable 3-form of rank 8 built a linear system past its rank")
 
     invariants = importlib.import_module("formlab.invariants")
+    linalg = importlib.import_module("formlab.linalg")
     assert not hasattr(invariants, "_rank_mod_p")
     for name in ("stabilizer_algebra", "_stabilizer_rows"):
         monkeypatch.setattr(invariants, name, no_solve)
-    monkeypatch.setattr(importlib.import_module("formlab.linalg"), "_rank_mod_p", no_solve)
+    widths = []
+    rank_mod_p = linalg._rank_mod_p
+
+    def spy(mat, ncols):
+        widths.append(ncols)
+        return rank_mod_p(mat, ncols)
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", spy)
     catalog_entries.cache_clear()
     stable = [cartan_form(name) for name in CARTAN_FORMS]
     stable += [random_form(8, 3, 9, trial_rng(76, t)) for t in range(3)]
@@ -966,6 +975,7 @@ def test_stable_three_forms_of_rank_eight_solve_only_their_rank(monkeypatch):
             stable.append(act(g, Form(n, 3, dict(phi.terms))))
     for phi in stable:
         n, m = phi.n, phi.n - 8
+        widths.clear()
         report = classify(phi)
         # the (8,3) catalog has no open orbit yet
         assert (report.kind, report.rank) == ("unknown", 8)
@@ -974,6 +984,7 @@ def test_stable_three_forms_of_rank_eight_solve_only_their_rank(monkeypatch):
         assert report.fingerprint == fp
         assert orbit_dimension(phi) == n * n - fp.stab_dim
         assert is_stable(phi) == (m == 0)
+        assert widths and set(widths) == {n}
 
 
 def test_unstable_three_forms_keep_the_solve(monkeypatch):

@@ -18,6 +18,7 @@ from formlab import (
     act,
     act_vectors,
     catalog_entries,
+    classify,
     infinitesimal_act,
     interior,
     is_multisymplectic,
@@ -40,6 +41,7 @@ from formlab import linalg
 from formlab.classify import killing_signature
 from formlab.invariants import (
     _bryant_gram,
+    _contraction_rows,
     _hitchin_trace,
     _integer_terms,
     _kernel_reflection,
@@ -52,11 +54,13 @@ from formlab.sampling import random_form, random_gl, random_nonzero_form, trial_
 from conftest import (
     CARTAN_FORMS,
     cartan_form,
+    contraction_rows_oracle,
     literature_form,
     nullspace_oracle,
     pfaffian_oracle,
     reduction_oracle,
     rref_rank,
+    stabilizer_rows_oracle,
 )
 
 
@@ -254,12 +258,53 @@ def _indices(n, k):
     return list(combinations(range(1, n + 1), k))
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_rows_match_naive_builders(data):
+    # the contraction rows, read from the per-index tables, against every
+    # column met by every term, as a multiset; the stabilizer rows row for
+    # row and in the same order as the loop over slots and gaps
+    cls = data.draw(st.sampled_from([Form, Polyvector]))
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, n))
+    idxs = data.draw(st.lists(st.sampled_from(_indices(n, k)), max_size=12, unique=True))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 6, 7)))
+    t = cls(n, k, {idx: data.draw(coeff) for idx in idxs})
+    for j in range(1, k + 1):
+        rows, ncols = _contraction_rows(t, j)
+        want, want_cols = contraction_rows_oracle(t, j)
+        assert ncols == want_cols == comb(n, j)
+        assert sorted(rows) == sorted(want)
+    terms = _integer_terms(t)
+    assert _stabilizer_rows(terms, n) == stabilizer_rows_oracle(terms, n)
+
+
+def test_tables_fill_only_the_indices_met(monkeypatch):
+    # the first classify of a sparse 6-form on R^12 fills the (12, 6) tables
+    # for its own three indices and no other
+    invariants = importlib.import_module("formlab.invariants")
+    monkeypatch.setattr(invariants, "_CONTRACTIONS", {})
+    monkeypatch.setattr(invariants, "_STABILIZERS", {})
+    catalog_entries.cache_clear()
+    terms = {(1, 2, 3, 4, 5, 6): 1, (7, 8, 9, 10, 11, 12): 1, (1, 3, 5, 7, 9, 11): 2}
+    report = classify(Form(12, 6, terms))
+    assert report.fingerprint.stab_dim == 51
+    tables = [t for (n, k, _), t in invariants._CONTRACTIONS.items() if (n, k) == (12, 6)]
+    assert len(tables) == 3
+    assert all(t.keys() == terms.keys() for t in tables)
+    assert invariants._STABILIZERS[12].keys() == terms.keys()
+
+
 @pytest.mark.parametrize("cls", [Form, Polyvector])
 def test_integer_builders_match_oracles_on_rational_input(cls):
     # The contraction and stabilizer builders scale by the denominator lcm.
     # The oracles take the rational coefficients of multi_interior(e_J, phi)
-    # and infinitesimal_act(E_ib, phi) column by column, sharing no code with
-    # the builders.  Contraction sees only the coefficient pattern, so a
+    # and infinitesimal_act(E_ib, phi) column by column.  multi_interior
+    # shares no code with the builders; infinitesimal_act reads the same
+    # stabilizer table on the unscaled terms, so here it checks the scaling
+    # and the nullspace, while test_table_rows_match_naive_builders checks
+    # the table and test_infinitesimal_matches_pullback_derivative the
+    # action.  Contraction sees only the coefficient pattern, so a
     # polyvector is checked against the form with the same terms.
     rng = random.Random(4104)
     for n in range(1, 7):

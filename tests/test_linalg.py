@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlab import linalg
+from formlab import Form, linalg
+from formlab.invariants import _contraction_rows
 from formlab.linalg import (
     as_fraction,
     det_fraction,
@@ -149,9 +151,18 @@ def _with_identity(block):
     ]
 
 
-def _random_times_p(seed, nrows, col):
-    rows = random_int_matrix(random.Random(seed), nrows, N)
+def _random_times_p(seed, nrows, col, ncols=N):
+    rows = random_int_matrix(random.Random(seed), nrows, ncols)
     return [[x * P if j == col else x for j, x in enumerate(row)] for row in rows]
+
+
+def _times_det_p(seed, nrows, ncols):
+    # U D with D = [[1, 1], [1, P + 1]] on the first two coordinates and the
+    # identity on the rest: no column is a multiple of P, yet det D = P
+    D = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    D[0][1], D[1][0], D[1][1] = 1, 1, P + 1
+    U = random_int_matrix(random.Random(seed), nrows, ncols)
+    return [[sum(u[t] * D[t][j] for t in range(ncols)) for j in range(ncols)] for u in U]
 
 
 @given(st.data())
@@ -187,24 +198,43 @@ def test_rank_mod_p_is_exact(data):
         # the first N rows are short over Q too; the last one completes them
         # over Q, but only by a multiple of P
         _with_identity([])[:-1] + [[1] + [0] * (N - 1), [0] * (N - 1) + [P]],
+        # narrower than N, but at least twice as tall as wide: certified too
+        _random_times_p(9, 28, 5, ncols=8),
+        _times_det_p(10, 28, 8),
     ],
-    ids=["zero-column", "det-p", "wide-rational", "tall-times-p", "square-times-p", "late-row"],
+    ids=[
+        "zero-column",
+        "det-p",
+        "wide-rational",
+        "tall-times-p",
+        "square-times-p",
+        "late-row",
+        "tall-narrow-times-p",
+        "tall-narrow-det-p",
+    ],
 )
 def test_full_rank_short_modulo_p_falls_back_to_bareiss(monkeypatch, rows):
     # full rank over Q, short modulo P once every row is added: the
     # certificate proves nothing, so the answer comes from one Bareiss pass
     # on all rows
     calls = []
+    tried = []
+    rank_mod_p = linalg._rank_mod_p
 
     def spy(mat, ncols):
         calls.append(len(mat))
         return row_echelon_int(mat, ncols)
 
+    def spy_mod_p(mat, ncols):
+        tried.append(len(mat))
+        return rank_mod_p(mat, ncols)
+
     monkeypatch.setattr(linalg, "row_echelon_int", spy)
+    monkeypatch.setattr(linalg, "_rank_mod_p", spy_mod_p)
     nrows, ncols = len(rows), len(rows[0])
     assert rref_rank(rows, ncols) == min(nrows, ncols)
     assert rank_rows(rows, ncols) == min(nrows, ncols)
-    assert calls == [nrows]
+    assert tried == calls == [nrows]
     assert nullspace_rows(rows, ncols) == nullspace_oracle(rows, ncols)
     assert calls == [nrows, nrows]
 
@@ -225,6 +255,14 @@ def test_full_rank_certified_without_bareiss(monkeypatch):
     assert linalg._rank_mod_p(late[:N], N) < N
     assert rank_rows(late, N) == N
     assert nullspace_rows(late, N) == ([], [])
+    # the 56 x 8 degree-1 system of the benchmark's census operation 3 at
+    # seed 0, a 4-form on R^8: narrow, but twice as tall as wide
+    rng = random.Random("formlab-bench/census/0/3")
+    phi = Form(8, 4, {idx: c for idx in combinations(range(1, 9), 4) if (c := rng.randint(-9, 9))})
+    rows, ncols = _contraction_rows(phi)
+    assert (len(rows), ncols) == (56, 8)
+    assert nullspace_rows(rows, ncols) == ([], [])
+    assert rank_rows(rows, ncols) == 8
 
 
 @given(square_strategy())
