@@ -16,14 +16,13 @@ Conventions, fixed once and used everywhere:
   the direct image (g applied to every slot).
 
 Every action is one substitution kernel, _substitute, which replaces each
-basis covector by a row of the matrix.  It runs on Python ints: the
-coefficients and the matrix are scaled once to integers, and each output
-coefficient is divided once at the end by the common scale.  It removes the
-old indices level by level, last slot first, so inserting j among the m
-other slots at position p gives the sign (-1)^(m - p).  The new indices of
-a partial term are a subset numbered by its bitmask, and where j lands in
-it, with what sign, is looked up in a table per n filled as pairs are met,
-which holds at most 2^n subsets of n + 1 slots.
+basis covector by a row of the matrix.  It runs on Python ints: the rows
+come over one common divisor, g inverse straight from its Bareiss pass
+(linalg._inverse_int), and each output coefficient is divided once at the
+end.  Its output is clean, so the actions wrap it unvalidated.  It removes
+the old indices level by level, last slot first, so inserting j among the m
+other slots at position p gives the sign (-1)^(m - p), read from a table of
+subsets per n that is filled as pairs are met (see _INSERTS).
 
 All arithmetic is exact; nothing here ever rounds.
 """
@@ -38,6 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
     Scalar,
+    _inverse_int,
     _scale_to_int,
     as_fraction,
     det_fraction,
@@ -207,11 +207,9 @@ class _Alternating:
     ):
         if n < 0 or k < 0:
             raise FormError("dimension and degree must be nonnegative")
-        cleaned = _clean_terms(n, k, terms)
         # Degrees above n only house the zero tensor (the wedge truncation
-        # rule can produce them); anything nonzero there is a bug upstream.
-        if k > n and cleaned:
-            raise DegreeError(f"degree {k} exceeds dimension {n}")
+        # rule can produce them): _clean_terms rejects every index there.
+        cleaned = _clean_terms(n, k, terms)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", MappingProxyType(cleaned))
@@ -219,6 +217,13 @@ class _Alternating:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _from_clean(cls, n: int, k: int, terms: dict[MultiIndex, Fraction]):
+        """Wrap terms as _clean_terms leaves them, unchecked: _substitute's output."""
+        self = cls(n, k)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        return self
 
     @classmethod
     def zero(cls, n: int, k: int):
@@ -571,12 +576,13 @@ def _inserted(s: int, j: int) -> int:
     return -(s | bit) if (s >> j).bit_count() % 2 else s | bit
 
 
-def _substitute(terms, rows, n: int) -> dict[MultiIndex, Fraction]:
-    """Replace every e^i by sum_j rows[i-1][j-1] e^j in a sparse alternating tensor.
+def _substitute(terms, int_rows, d: int, n: int) -> dict[MultiIndex, Fraction]:
+    """Replace every e^i by sum_j int_rows[i-1][j-1] / d e^j in a sparse tensor.
 
-    The work runs on Python ints: the coefficients are scaled by the lcm D of
-    their denominators and all rows by one common lcm d, so every output term
-    of degree k carries the same factor D * d^k, divided out once at the end.
+    The work runs on Python ints: the rows share one divisor d != 0 and the
+    coefficients are scaled by the lcm D of their denominators, so every
+    output term of degree k carries the factor D * d^k, divided out once at
+    the end into a nonzero Fraction at an ascending k-tuple within 1..n.
 
     The old indices are removed level by level.  Level L holds the terms
     that still have L old indices, as T -> {S: coefficient}: T is the tuple
@@ -590,9 +596,7 @@ def _substitute(terms, rows, n: int) -> dict[MultiIndex, Fraction]:
     table holds the first factor.  The second is the same for every term of
     a level, so over the k levels it is (-1)^(k(k-1)/2) for every term,
     folded into the divisor.  After k levels T is empty, and each S becomes
-    its tuple once, at the division.  The subset table of n lives for the
-    process and holds at most 2^n subsets of n + 1 slots, whatever the
-    inputs.
+    its tuple once, at the division.
     """
     if not terms:
         return {}
@@ -603,7 +607,6 @@ def _substitute(terms, rows, n: int) -> dict[MultiIndex, Fraction]:
     D = lcm(*{c.denominator for c in terms.values()})
     level = {idx: {0: c.numerator * (D // c.denominator)} for idx, c in terms.items()}
     k = len(next(iter(terms)))
-    int_rows, d = _scale_to_int(rows)
     nonzero = [[(j, x) for j, x in enumerate(row, 1) if x] for row in int_rows]
     table = _INSERTS.setdefault(n, {})
     for _ in range(k):
@@ -652,7 +655,7 @@ def act(g: LinMap, phi: Form) -> Form:
         raise DimensionMismatch(f"dimension {g.n} != {phi.n}")
     if not g.det:
         raise SingularMatrix("group element must be invertible")
-    return Form(phi.n, phi.k, _substitute(phi.terms, inverse_fraction(g.entries), phi.n))
+    return Form._from_clean(phi.n, phi.k, _substitute(phi.terms, *_inverse_int(g.entries), phi.n))
 
 
 def pullback(m: LinMap, phi: Form) -> Form:
@@ -661,7 +664,7 @@ def pullback(m: LinMap, phi: Form) -> Form:
         raise TypeError("pullback needs a Form")
     if m.n != phi.n:
         raise DimensionMismatch(f"dimension {m.n} != {phi.n}")
-    return Form(phi.n, phi.k, _substitute(phi.terms, m.entries, phi.n))
+    return Form._from_clean(phi.n, phi.k, _substitute(phi.terms, *_scale_to_int(m.entries), phi.n))
 
 
 def act_vectors(g: LinMap, x: Polyvector) -> Polyvector:
@@ -672,7 +675,8 @@ def act_vectors(g: LinMap, x: Polyvector) -> Polyvector:
         raise DimensionMismatch(f"dimension {g.n} != {x.n}")
     if not g.det:
         raise SingularMatrix("group element must be invertible")
-    return Polyvector(x.n, x.k, _substitute(x.terms, list(zip(*g.entries)), x.n))
+    cols = list(zip(*g.entries))
+    return Polyvector._from_clean(x.n, x.k, _substitute(x.terms, *_scale_to_int(cols), x.n))
 
 
 def twisted_act(g: LinMap, lam: int, phi: Form) -> Form:
@@ -718,8 +722,8 @@ def musical(mu: InnerProduct, x: Polyvector) -> Form:
     if x.n != mu.n:
         raise DimensionMismatch(f"dimension {x.n} != {mu.n}")
     if mu.is_identity:
-        return Form(x.n, x.k, dict(x.terms))
-    return Form(x.n, x.k, _substitute(x.terms, mu.matrix, x.n))
+        return Form._from_clean(x.n, x.k, dict(x.terms))
+    return Form._from_clean(x.n, x.k, _substitute(x.terms, *_scale_to_int(mu.matrix), x.n))
 
 
 def musical_inv(mu: InnerProduct, phi: Form) -> Polyvector:
@@ -727,5 +731,6 @@ def musical_inv(mu: InnerProduct, phi: Form) -> Polyvector:
     if phi.n != mu.n:
         raise DimensionMismatch(f"dimension {phi.n} != {mu.n}")
     if mu.is_identity:
-        return Polyvector(phi.n, phi.k, dict(phi.terms))
-    return Polyvector(phi.n, phi.k, _substitute(phi.terms, inverse_fraction(mu.matrix), phi.n))
+        return Polyvector._from_clean(phi.n, phi.k, dict(phi.terms))
+    inv = _inverse_int(mu.matrix)
+    return Polyvector._from_clean(phi.n, phi.k, _substitute(phi.terms, *inv, phi.n))

@@ -5,13 +5,15 @@ forward pass, row_echelon_int, and one integer back-substitution whose
 divisions are exact by Cramer's rule, so intermediate entries stay integral
 and growth stays polynomial.  Rational input is scaled row by row to integers
 first, which changes neither rank nor nullspace and scales the determinant by
-a known factor.  inertia_fraction and skew_pairs are not solves: they apply
-each operation to rows and columns alike (congruence), which a one-sided row
-reduction cannot reproduce.  Both scale the whole matrix once to integers and
-divide each Schur complement by its content instead of by pivots: what they
-return (the inertia, the rank and the sign of the Pfaffian) survives a
-positive scaling.  No elimination here runs on Fraction, and nothing in this
-module ever rounds.
+a known factor.  The inverse leaves its pass as integer rows X over one divisor
+d, A X = d I (_inverse_int), which the substitution kernel of exterior takes
+as they are; inverse_fraction is their Fraction view.  inertia_fraction and
+skew_pairs are not solves: they apply each operation to rows and columns alike
+(congruence), which a one-sided row reduction cannot reproduce.  Both scale the
+whole matrix once to integers and divide each Schur complement by its content
+instead of by pivots: what they return (the inertia, the rank and the sign of
+the Pfaffian) survives a positive scaling.  No elimination here runs on
+Fraction, and nothing in this module ever rounds.
 
 rank_rows, and nullspace_rows on a system with at least as many rows as
 columns, first take the rank modulo the prime _P (_rank_mod_p) when the
@@ -87,29 +89,23 @@ def as_fraction(x: Scalar) -> Fraction:
 
 
 def _row_lcm(row: Iterable[Scalar]) -> int:
-    l = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            l = l * d // gcd(l, d)
-    return l
+    return lcm(*[x.denominator for x in row])
 
 
 def to_int_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators; rank and nullspace survive.
+    """Scale each row by the lcm l of its denominators; rank and nullspace survive.
 
-    A row that holds only ints is copied as it is, after one type scan.
+    Each entry, an int being its own numerator over 1, becomes
+    numerator * (l // denominator), with no Fraction arithmetic.  A row that
+    holds only ints is copied as it is, after one type scan.
     """
     out = []
     for row in rows:
         if _INT_ONLY.issuperset(map(type, row)):
             out.append(list(row))
-            continue
-        l = _row_lcm(row)
-        if l == 1:
-            out.append([int(x) for x in row])
         else:
-            out.append([int(x * l) for x in row])
+            l = _row_lcm(row)
+            out.append([x.numerator * (l // x.denominator) for x in row])
     return out
 
 
@@ -300,14 +296,12 @@ def det_fraction(entries: Sequence[Sequence[Scalar]]) -> Fraction:
     return Fraction(sign * last, prod(map(_row_lcm, entries)))
 
 
-def inverse_fraction(
-    entries: Sequence[Sequence[Scalar]],
-) -> list[list[Fraction]]:
-    """Inverse from one Bareiss pass on [A | -I]; ZeroDivisionError if singular.
-
-    Column j of the inverse is the nullspace vector with free coordinate n+j,
-    divided by that coordinate.  A is singular exactly when a pivot falls in
-    the -I block.
+def _inverse_int(entries: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """(X, d) with A X = d I: the inverse of A = entries as integer rows over
+    one divisor, from one Bareiss pass on [A | -I].  ZeroDivisionError if A
+    is singular, which is when a pivot falls in the -I block.  Column j of X
+    is the nullspace vector whose free coordinate n+j is the last pivot d of
+    the A block (1 at n = 0), the same for every j; d may be negative.
     """
     n = len(entries)
     mat = to_int_rows(
@@ -316,17 +310,18 @@ def inverse_fraction(
     pivots, _ = row_echelon_int(mat, 2 * n)
     if pivots and pivots[-1][1] >= n:
         raise ZeroDivisionError("singular matrix")
-    cols = []
-    for j in range(n):
-        x = _back_substitute(mat, pivots, n + j)
-        d = x[n + j]
-        cols.append([Fraction(v, d) for v in x[:n]])
-    return [list(row) for row in zip(*cols)]
+    d = mat[n - 1][n - 1] if n else 1
+    cols = [_back_substitute(mat, pivots, n + j)[:n] for j in range(n)]
+    return [list(row) for row in zip(*cols)], d
 
 
-def _scale_to_int(
-    mat: Sequence[Sequence[Scalar]],
-) -> tuple[Sequence[Sequence[int]], int]:
+def inverse_fraction(entries: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+    """The inverse X / d of (X, d) = _inverse_int(entries); ZeroDivisionError if singular."""
+    rows, d = _inverse_int(entries)
+    return [[Fraction(v, d) for v in row] for row in rows]
+
+
+def _scale_to_int(mat: Sequence[Sequence[Scalar]]) -> tuple[Sequence[Sequence[int]], int]:
     """(l * mat, l) for l the lcm of all denominators of mat: one positive
     factor for the whole matrix, so a congruence stays a congruence and every
     product of k entries carries the same l^k, which the per-row scaling of

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formlab import (
@@ -30,8 +30,10 @@ from formlab import (
     wedge,
 )
 from formlab.exterior import _substitute, contract_sign, normalize_index
+from formlab.linalg import _scale_to_int
 
 from conftest import (
+    det_gauss,
     det_oracle,
     evaluate_form,
     pairing,
@@ -331,7 +333,7 @@ def test_substitute_matches_fraction_oracle(data):
         for i, j in data.draw(st.lists(pairs, max_size=2)):
             q = data.draw(st.fractions(-3, 3, max_denominator=5))
             rows[i] = [q * x for x in rows[j]]
-    assert _substitute(terms, rows, n) == substitute_oracle(terms, rows, n)
+    assert _substitute(terms, *_scale_to_int(rows), n) == substitute_oracle(terms, rows, n)
 
 
 @settings(max_examples=25, deadline=None)
@@ -346,7 +348,7 @@ def test_substitute_dense_matches_fraction_oracle(data):
     terms = dict(zip(idxs, cs))
     entry = st.integers(-5, 5).filter(bool)
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    assert _substitute(terms, rows, n) == substitute_oracle(terms, rows, n)
+    assert _substitute(terms, *_scale_to_int(rows), n) == substitute_oracle(terms, rows, n)
 
 
 @pytest.mark.parametrize("k", [10, 11, 12])
@@ -362,7 +364,7 @@ def test_substitute_sparse_top_degrees_at_n12(k, seed):
         for idx in rng.sample(idxs, min(3, len(idxs)))
     }
     rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-    assert _substitute(terms, rows, n) == substitute_oracle(terms, rows, n)
+    assert _substitute(terms, *_scale_to_int(rows), n) == substitute_oracle(terms, rows, n)
 
 
 def test_substitute_on_interleaved_shapes(rng):
@@ -377,9 +379,41 @@ def test_substitute_on_interleaved_shapes(rng):
     calls.append(calls[0])
     results = []
     for terms, rows, n in calls:
-        results.append(_substitute(terms, rows, n))
+        results.append(_substitute(terms, *_scale_to_int(rows), n))
         assert results[-1] == substitute_oracle(terms, rows, n)
     assert results[-1] == results[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_actions_wrap_clean_terms(data):
+    # the five actions wrap the kernel's dict without _clean_terms: each
+    # result must be what full validation makes of the same terms, with no
+    # zero coefficient, for rational g of either sign of det
+    n = data.draw(st.integers(0, 7))
+    k = data.draw(st.integers(0, n))
+    idxs = list(combinations(range(1, n + 1), k))
+    terms = st.dictionaries(st.sampled_from(idxs), rational_coeffs, max_size=5)
+    phi, xi = Form(n, k, data.draw(terms)), Polyvector(n, k, data.draw(terms))
+    entry = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=5))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    rows = data.draw(square)
+    if n and data.draw(st.booleans()):
+        rows[0] = [-x for x in rows[0]]
+    g = LinMap(rows)
+    assume(g.det)
+    a = data.draw(square)
+    gram = [[sum(r[i] * r[j] for r in a) + (i == j) for j in range(n)] for i in range(n)]
+    mu = InnerProduct(gram)  # a^T a + I, positive definite
+    moved = act(g, phi)
+    for r in [moved, act_vectors(g, xi), pullback(g, phi), musical(mu, xi), musical_inv(mu, phi)]:
+        clean = type(r)(r.n, r.k, dict(r.terms))
+        assert r == clean and hash(r) == hash(clean)
+        assert (r.n, r.k) == (n, k) and all(r.terms.values())
+    # (g . phi)(g v_1, ..., g v_k) == phi(v_1, ..., v_k)
+    vs = data.draw(st.lists(vectors(n), min_size=k, max_size=k))
+    gvs = [[sum(g.entries[i][j] * v[j] for j in range(n)) for i in range(n)] for v in vs]
+    assert evaluate_form(moved, gvs, det_gauss) == evaluate_form(phi, vs, det_gauss)
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from formlab import Form, linalg
 from formlab.invariants import _contraction_rows
 from formlab.linalg import (
+    _inverse_int,
     as_fraction,
     det_fraction,
     inertia_fraction,
@@ -313,6 +314,47 @@ def test_inverse_edge_cases():
     assert inverse_fraction([[Fraction(3, 4)]]) == [[Fraction(4, 3)]]
     with pytest.raises(ZeroDivisionError):
         inverse_fraction([[0]])
+
+
+def _check_inverse_int(mat):
+    # A X == d I exactly on the rational entries, and X / d is inverse_fraction
+    n = len(mat)
+    X, d = _inverse_int(mat)
+    assert type(d) is int and d
+    assert len(X) == n and all(type(x) is int for row in X for x in row)
+    for i in range(n):
+        for j in range(n):
+            assert sum(Fraction(mat[i][t]) * X[t][j] for t in range(n)) == d * (i == j)
+    assert [[Fraction(x, d) for x in row] for row in X] == inverse_fraction(mat)
+    return X, d
+
+
+def test_inverse_int_cases():
+    cases = [
+        [[2, 1], [7, 4]],  # integer, det 1
+        [[Fraction(1, 2), Fraction(2, 3)], [Fraction(-5, 7), 3]],  # rational
+        [[0, 1, 2], [3, 0, 1], [1, 1, 0]],  # zero (1,1) entry: a row swap
+        [[Fraction(3, 4)]],
+        [[-5]],
+    ]
+    for mat in cases:
+        _check_inverse_int(mat)
+    # det < 0, and so is d
+    assert _check_inverse_int([[1, 2, 0], [0, 1, 0], [0, 0, -3]])[1] < 0
+    assert _inverse_int([]) == ([], 1)
+    for singular in ([[0]], [[1, 2], [2, 4]], [[Fraction(1, 2), 1], [1, 2]]):
+        with pytest.raises(ZeroDivisionError):
+            _inverse_int(singular)
+
+
+@given(square_strategy(max_n=5))
+@settings(max_examples=100, deadline=None)
+def test_inverse_int_is_the_integer_inverse(mat):
+    if det_oracle(mat) == 0:
+        with pytest.raises(ZeroDivisionError):
+            _inverse_int(mat)
+        return
+    _check_inverse_int(mat)
 
 
 def test_inertia_known_diagonals():
