@@ -422,7 +422,7 @@ def _martinet_form(n: int, l: int, coeff: int) -> Form:
     full = range(1, n + 1)
     terms = {}
     for i in range(1, l + 1):
-        comp = tuple(j for j in full if j not in (2 * i - 1, 2 * i))
+        comp = tuple([j for j in full if j not in (2 * i - 1, 2 * i)])
         terms[comp] = Fraction(coeff)
     return Form(n, n - 2, terms)
 

@@ -373,62 +373,97 @@ def _render_text(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _document_args(volume_help: str):
+    """input, --volume and --metric: the arguments of classify and invariants."""
+
+    def add(p: argparse.ArgumentParser) -> None:
+        p.add_argument("input", help="JSON document path, or - for stdin")
+        p.add_argument("--volume", help=volume_help)
+        p.add_argument("--metric", help="JSON file with an n x n matrix")
+
+    return add
+
+
+def _act_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="JSON document path, or - for stdin")
+    p.add_argument("--matrix", required=True, help="JSON file with the matrix")
+
+
+def _dims_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=int)
+    p.add_argument("k", type=int)
+
+
+def _sample_args(p: argparse.ArgumentParser) -> None:
+    _dims_args(p)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--bound", type=int, default=9)
+    p.add_argument("--seed", type=int, default=0)
+
+
+# name -> (help, adds its arguments, handler), in the order of --help
+_COMMANDS = {
+    "classify": (
+        "orbit verdict for a document",
+        _document_args("volume scale as a rational, e.g. 3/2"),
+        cmd_classify,
+    ),
+    "invariants": (
+        "exact invariants and witnesses",
+        _document_args("volume scale as a rational"),
+        cmd_invariants,
+    ),
+    "act": ("apply a group element to a document", _act_args, cmd_act),
+    "sample": ("fingerprint histogram of random forms", _sample_args, cmd_sample),
+    "catalog": ("canonical forms known for (n, k)", _dims_args, cmd_catalog),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for argv: the top level plus the subcommand argv[0] names.
+
+    Each ArgumentParser and add_argument costs tens of microseconds, and
+    one call runs one subcommand, so only that one is built; when argv[0]
+    names none (no arguments, -h, an unknown word, an option first), or
+    argv is None, all five are, for the listing or the error.  A lone
+    subcommand gets the full choice list as its metavar, so a top-level
+    usage line reads as with all five.
+    """
     parser = argparse.ArgumentParser(
         prog="formlab",
         description="exact orbit invariants and classification for alternating forms",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    if argv and argv[0] in _COMMANDS:
+        names = argv[:1]
+        # set only here: with all five, argparse names the action `command`
+        # in "invalid choice" and "required" errors, not by its metavar
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_args, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
         p.add_argument(
             "--format",
             choices=("text", "structured"),
             default="text",
             help="text report or deterministic JSON",
         )
-
-    p_classify = sub.add_parser("classify", help="orbit verdict for a document")
-    p_classify.add_argument("input", help="JSON document path, or - for stdin")
-    p_classify.add_argument("--volume", help="volume scale as a rational, e.g. 3/2")
-    p_classify.add_argument("--metric", help="JSON file with an n x n matrix")
-    add_common(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_inv = sub.add_parser("invariants", help="exact invariants and witnesses")
-    p_inv.add_argument("input", help="JSON document path, or - for stdin")
-    p_inv.add_argument("--volume", help="volume scale as a rational")
-    p_inv.add_argument("--metric", help="JSON file with an n x n matrix")
-    add_common(p_inv)
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_act = sub.add_parser("act", help="apply a group element to a document")
-    p_act.add_argument("input", help="JSON document path, or - for stdin")
-    p_act.add_argument("--matrix", required=True, help="JSON file with the matrix")
-    add_common(p_act)
-    p_act.set_defaults(func=cmd_act)
-
-    p_sample = sub.add_parser("sample", help="fingerprint histogram of random forms")
-    p_sample.add_argument("n", type=int)
-    p_sample.add_argument("k", type=int)
-    p_sample.add_argument("--trials", type=int, default=100)
-    p_sample.add_argument("--bound", type=int, default=9)
-    p_sample.add_argument("--seed", type=int, default=0)
-    add_common(p_sample)
-    p_sample.set_defaults(func=cmd_sample)
-
-    p_catalog = sub.add_parser("catalog", help="canonical forms known for (n, k)")
-    p_catalog.add_argument("n", type=int)
-    p_catalog.add_argument("k", type=int)
-    add_common(p_catalog)
-    p_catalog.set_defaults(func=cmd_catalog)
-
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; argv defaults to sys.argv[1:].
+
+    The parser is built afresh in every call, as a new process would, but
+    holds only the subcommand that argv names (see build_parser).
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         report = args.func(args)
     except ParseError as exc:

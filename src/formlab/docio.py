@@ -65,7 +65,7 @@ def parse_document(doc: Any) -> tuple[Form | Polyvector, Fraction | None, list[l
     raw_terms = doc.get("terms", [])
     if not isinstance(raw_terms, list):
         raise ParseError("field 'terms' must be a list")
-    acc: dict[MultiIndex, Fraction] = {}
+    pairs: list[tuple[MultiIndex, Fraction]] = []
     for pos, term in enumerate(raw_terms, start=1):
         where = f"term {pos}"
         if not isinstance(term, dict):
@@ -73,7 +73,7 @@ def parse_document(doc: Any) -> tuple[Form | Polyvector, Fraction | None, list[l
         idx_raw = term.get("idx")
         if not isinstance(idx_raw, list):
             raise ParseError(f"{where}: 'idx' must be a list of integers")
-        idx = tuple(_require_int(i, f"{where}: index entry") for i in idx_raw)
+        idx = tuple([_require_int(i, f"{where}: index entry") for i in idx_raw])
         if len(idx) != k:
             raise ParseError(f"{where}: index length {len(idx)} does not match k={k}")
         for i in idx:
@@ -87,10 +87,11 @@ def parse_document(doc: Any) -> tuple[Form | Polyvector, Fraction | None, list[l
         den = _require_int(term.get("den", 1), f"{where}: 'den'")
         if den <= 0:
             raise ParseError(f"{where}: 'den' must be a positive integer")
-        acc[sorted_idx] = acc.get(sorted_idx, Fraction(0)) + Fraction(sign * num, den)
+        pairs.append((sorted_idx, Fraction(sign * num, den)))
     cls = Form if variance == "form" else Polyvector
     try:
-        element = cls(n, k, acc)
+        # the constructor sums repeated index sets and drops zeros
+        element = cls(n, k, pairs)
     except FormError as exc:
         raise ParseError(str(exc)) from exc
     volume = None

@@ -710,7 +710,7 @@ def poincare_inv(omega: VolumeForm, psi: Form) -> Polyvector:
     full = tuple(range(1, n + 1))
     out: dict[MultiIndex, Fraction] = {}
     for jdx, c in psi.terms.items():
-        comp = tuple(i for i in full if i not in jdx)
+        comp = tuple([i for i in full if i not in jdx])
         rest, sign = contract_sign(full, comp)
         assert rest == jdx
         out[comp] = c / (sign * omega.scale)

@@ -9,7 +9,8 @@ from itertools import combinations
 import pytest
 
 from formlab import Form, LinMap, Polyvector, act
-from formlab.cli import EXIT_PIPE, main
+from formlab import cli
+from formlab.cli import EXIT_PIPE, build_parser, main
 from formlab.docio import element_to_document
 from formlab.linalg import skew_pairs
 from formlab.sampling import random_form, random_gl, trial_rng
@@ -529,3 +530,75 @@ def test_text_reports_frozen(tmp_path, capsys):
         code, out, err = run(capsys, list(argv))
         assert code == 0 and err == ""
         assert out == "\n".join(lines) + "\n"
+
+
+# help, usage and error cases of the command line: every -h form, no
+# arguments, unknown words, missing and extra positionals, bad option values
+# and options before the command, plus a few calls that run
+PARSER_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "catalog"],
+    ["bogus"],
+    ["cat"],
+    ["--format", "text"],
+    ["--format", "structured", "catalog", "6", "3"],
+    ["classify", "-h"],
+    ["invariants", "--help"],
+    ["act", "-h"],
+    ["sample", "-h"],
+    ["catalog", "-h"],
+    ["classify"],
+    ["classify", "a.json", "b.json"],
+    ["classify", "missing.json", "--volume"],
+    ["act", "doc.json"],
+    ["sample", "6"],
+    ["sample", "6", "3", "--trials"],
+    ["sample", "6", "3", "--seed", "x"],
+    ["catalog", "7"],
+    ["catalog", "7", "3", "extra"],
+    ["catalog", "7", "3", "--bogus"],
+    ["catalog", "7", "3", "--format", "bad"],
+    ["catalog", "6", "3"],
+    ["catalog", "6", "3", "--format", "structured"],
+    ["invariants", "missing.json"],
+    ["sample", "4", "3", "--trials", "3"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_slim_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    """main builds one subcommand; all five give the same text and exit code."""
+    slim = outcome(capsys, argv)
+    full = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert outcome(capsys, argv) == slim
+
+
+def registered(parser):
+    return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+def test_build_parser_registers_the_named_subcommand_only():
+    all_five = ["classify", "invariants", "act", "sample", "catalog"]
+    assert registered(build_parser(["catalog", "7", "3"])) == ["catalog"]
+    assert registered(build_parser(["act", "-"])) == ["act"]
+    assert registered(build_parser()) == all_five
+    for argv in ([], ["-h"], ["bogus"], ["--format", "text", "catalog"]):
+        assert registered(build_parser(argv)) == all_five
+
+
+def test_full_parser_errors_name_the_command_action(capsys):
+    # a metavar on the subcommand action would replace `command` here
+    assert "argument command: invalid choice" in outcome(capsys, ["bogus"])[2]
+    assert "required: command" in outcome(capsys, [])[2]
