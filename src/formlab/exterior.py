@@ -15,9 +15,10 @@ Conventions, fixed once and used everywhere:
   act(g1, act(g2, phi)) == act(g1 @ g2, phi).  On polyvectors the action is
   the direct image (g applied to every slot).
 
-Every action is one substitution kernel, _substitute, which replaces each
-basis covector by a row of the matrix.  It runs on Python ints: the rows
-come over one common divisor, g inverse straight from its Bareiss pass
+LinMap and InnerProduct store their matrix as integer rows over one
+divisor, and every action is one substitution kernel, _substitute, which
+replaces each basis covector by a row of the matrix.  It runs on Python
+ints: the rows come as stored, or g inverse straight from its Bareiss pass
 (linalg._inverse_int), and each output coefficient is divided once at the
 end.  Its output is clean, so the actions wrap it unvalidated.  It removes
 the old indices level by level, last slot first, so inserting j among the m
@@ -32,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +44,6 @@ from .linalg import (
     as_fraction,
     det_fraction,
     inertia_fraction,
-    inverse_fraction,
 )
 
 Rat = Fraction
@@ -345,26 +346,30 @@ class LinMap:
     """Square rational matrix with a cached determinant.
 
     Represents both group elements g in GL(n, Q) and algebra elements
-    A in gl(n, Q); rows index the output, columns the input.
+    A in gl(n, Q); rows index the output, columns the input.  Stored as int
+    rows over den, the least positive integer clearing every denominator, so
+    equal matrices store equal (rows, den); entries is built when read.
     """
 
-    __slots__ = ("n", "entries", "det")
+    __slots__ = ("n", "rows", "den", "det")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
         n = len(entries)
-        rows = []
-        for row in entries:
-            # from a list, not a generator: see _substitute
-            row = tuple([as_fraction(x) for x in row])
-            if len(row) != n:
-                raise DimensionMismatch("matrix must be square")
-            rows.append(row)
+        rows, den = _scale_to_int(entries)
+        if any(len(row) != n for row in rows):
+            raise DimensionMismatch("matrix must be square")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "det", det_fraction(rows))
+        # from lists, not generators: see _substitute
+        object.__setattr__(self, "rows", tuple([tuple(row) for row in rows]))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "det", det_fraction(rows) / den**n)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinMap is immutable")
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _fractions(self.rows, self.den)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -390,22 +395,19 @@ class LinMap:
     def inverse(self) -> "LinMap":
         if not self.det:
             raise SingularMatrix("matrix is singular")
-        return LinMap(inverse_fraction(self.entries))
+        return LinMap(_fractions(*_inverse_over_divisor(self)))
 
     def transpose(self) -> "LinMap":
-        n = self.n
-        return LinMap([[self.entries[j][i] for j in range(n)] for i in range(n)])
+        return LinMap(_fractions(zip(*self.rows), self.den))
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         if not isinstance(other, LinMap):
             return NotImplemented
         if other.n != self.n:
             raise DimensionMismatch(f"dimension {other.n} != {self.n}")
-        n = self.n
-        a, b = self.entries, other.entries
-        return LinMap(
-            [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        )
+        cols = list(zip(*other.rows))
+        prods = [[sum(map(mul, row, col)) for col in cols] for row in self.rows]
+        return LinMap(_fractions(prods, self.den * other.den))
 
     def apply(self, v: Polyvector) -> Polyvector:
         """Image of a degree-1 vector."""
@@ -414,17 +416,27 @@ class LinMap:
         if v.n != self.n:
             raise DimensionMismatch(f"dimension {v.n} != {self.n}")
         coords = v.coords()
-        out = [sum(row[j] * coords[j] for j in range(self.n)) for row in self.entries]
-        return Polyvector.from_coords(out)
+        return Polyvector.from_coords([sum(map(mul, row, coords)) / self.den for row in self.rows])
 
     def __eq__(self, other):
-        return isinstance(other, LinMap) and other.entries == self.entries
+        return isinstance(other, LinMap) and (other.rows, other.den) == (self.rows, self.den)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.rows, self.den))
 
     def __repr__(self):
         return f"LinMap({[[str(x) for x in row] for row in self.entries]})"
+
+
+def _fractions(rows, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix rows / den as Fractions; den may be negative."""
+    return tuple([tuple([Fraction(x, den) for x in row]) for row in rows])
+
+
+def _inverse_over_divisor(m) -> tuple[list[list[int]], int]:
+    """Int rows over one divisor: m^-1 = (den * X) / d for (X, d) = _inverse_int(rows)."""
+    X, d = _inverse_int(m.rows)
+    return [[m.den * x for x in row] for row in X], d
 
 
 class VolumeForm:
@@ -453,29 +465,35 @@ class VolumeForm:
 
 
 class InnerProduct:
-    """Symmetric positive-definite rational matrix; checked on construction."""
+    """Symmetric positive-definite rational matrix; checked on construction.
 
-    __slots__ = ("n", "matrix")
+    Stored as int rows over den, as in LinMap; matrix is built when read.
+    """
+
+    __slots__ = ("n", "rows", "den")
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]]):
         n = len(matrix)
-        rows = tuple([tuple([as_fraction(x) for x in row]) for row in matrix])
-        for row in rows:
-            if len(row) != n:
-                raise DimensionMismatch("inner product matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise FormError("inner product matrix must be symmetric")
+        ints, den = _scale_to_int(matrix)
+        if any(len(row) != n for row in ints):
+            raise DimensionMismatch("inner product matrix must be square")
+        rows = tuple([tuple(row) for row in ints])
+        if rows != tuple(zip(*rows)):
+            raise FormError("inner product matrix must be symmetric")
         # Sylvester's law of inertia: positive definite means n positive
         # squares in any congruent diagonal form.
-        if inertia_fraction(rows) != (n, 0, 0):
+        if inertia_fraction(ints) != (n, 0, 0):
             raise FormError("inner product matrix must be positive definite")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("InnerProduct is immutable")
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _fractions(self.rows, self.den)
 
     @classmethod
     def identity(cls, n: int) -> "InnerProduct":
@@ -483,11 +501,7 @@ class InnerProduct:
 
     @property
     def is_identity(self) -> bool:
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self.den == 1 and self.rows == LinMap.identity(self.n).rows
 
     def __repr__(self):
         return f"InnerProduct({[[str(x) for x in row] for row in self.matrix]})"
@@ -655,7 +669,7 @@ def act(g: LinMap, phi: Form) -> Form:
         raise DimensionMismatch(f"dimension {g.n} != {phi.n}")
     if not g.det:
         raise SingularMatrix("group element must be invertible")
-    return Form._from_clean(phi.n, phi.k, _substitute(phi.terms, *_inverse_int(g.entries), phi.n))
+    return Form._from_clean(phi.n, phi.k, _substitute(phi.terms, *_inverse_over_divisor(g), phi.n))
 
 
 def pullback(m: LinMap, phi: Form) -> Form:
@@ -664,7 +678,7 @@ def pullback(m: LinMap, phi: Form) -> Form:
         raise TypeError("pullback needs a Form")
     if m.n != phi.n:
         raise DimensionMismatch(f"dimension {m.n} != {phi.n}")
-    return Form._from_clean(phi.n, phi.k, _substitute(phi.terms, *_scale_to_int(m.entries), phi.n))
+    return Form._from_clean(phi.n, phi.k, _substitute(phi.terms, m.rows, m.den, phi.n))
 
 
 def act_vectors(g: LinMap, x: Polyvector) -> Polyvector:
@@ -675,8 +689,8 @@ def act_vectors(g: LinMap, x: Polyvector) -> Polyvector:
         raise DimensionMismatch(f"dimension {g.n} != {x.n}")
     if not g.det:
         raise SingularMatrix("group element must be invertible")
-    cols = list(zip(*g.entries))
-    return Polyvector._from_clean(x.n, x.k, _substitute(x.terms, *_scale_to_int(cols), x.n))
+    cols = list(zip(*g.rows))
+    return Polyvector._from_clean(x.n, x.k, _substitute(x.terms, cols, g.den, x.n))
 
 
 def twisted_act(g: LinMap, lam: int, phi: Form) -> Form:
@@ -723,7 +737,7 @@ def musical(mu: InnerProduct, x: Polyvector) -> Form:
         raise DimensionMismatch(f"dimension {x.n} != {mu.n}")
     if mu.is_identity:
         return Form._from_clean(x.n, x.k, dict(x.terms))
-    return Form._from_clean(x.n, x.k, _substitute(x.terms, *_scale_to_int(mu.matrix), x.n))
+    return Form._from_clean(x.n, x.k, _substitute(x.terms, mu.rows, mu.den, x.n))
 
 
 def musical_inv(mu: InnerProduct, phi: Form) -> Polyvector:
@@ -732,5 +746,5 @@ def musical_inv(mu: InnerProduct, phi: Form) -> Polyvector:
         raise DimensionMismatch(f"dimension {phi.n} != {mu.n}")
     if mu.is_identity:
         return Polyvector._from_clean(phi.n, phi.k, dict(phi.terms))
-    inv = _inverse_int(mu.matrix)
-    return Polyvector._from_clean(phi.n, phi.k, _substitute(phi.terms, *inv, phi.n))
+    X, d = _inverse_over_divisor(mu)
+    return Polyvector._from_clean(phi.n, phi.k, _substitute(phi.terms, X, d, phi.n))

@@ -277,15 +277,16 @@ def infinitesimal_act(A: LinMap, phi: Form) -> Form:
     On a basis form this is minus the sum over slots of substituting A into
     that slot; A = Id gives -k * phi.  The row of each multi-index in the
     stabilizer system of phi (_stabilizer_rows, here on the rational terms)
-    holds its coefficient as a linear function of the entries of A.
+    holds its coefficient as a dot product with the int rows of A, over A.den.
     """
     if A.n != phi.n:
         raise FormError(f"dimension {A.n} != {phi.n}")
     n = phi.n
-    flat = [a for row in A.entries for a in row]
+    flat = [a for row in A.rows for a in row]
     table = _STABILIZERS.setdefault(n, {})
     rows = _table_rows(phi.terms.items(), table, _stabilizer_entries, n * n, n)
-    return Form(n, phi.k, {_index(key): sum(map(mul, row, flat)) for key, row in rows.items()})
+    den = A.den
+    return Form(n, phi.k, {_index(key): sum(map(mul, r, flat)) / den for key, r in rows.items()})
 
 
 @dataclass(frozen=True)
@@ -597,10 +598,11 @@ class LengthSign:
     sign: int
 
 
-def _bivector_matrix(xi: Polyvector) -> list[list[Fraction]]:
+def _bivector_matrix(xi: Polyvector) -> list[list[int]]:
+    """Skew matrix of xi from _integer_terms: a positive scale keeps sign Pf."""
     n = xi.n
-    S = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), c in xi.terms.items():
+    S = [[0] * n for _ in range(n)]
+    for (i, j), c in _integer_terms(xi):
         S[i - 1][j - 1] = c
         S[j - 1][i - 1] = -c
     return S

@@ -3,17 +3,20 @@
 Rank, nullspace, determinant and inverse share one fraction-free (Bareiss)
 forward pass, row_echelon_int, and one integer back-substitution whose
 divisions are exact by Cramer's rule, so intermediate entries stay integral
-and growth stays polynomial.  Rational input is scaled row by row to integers
-first, which changes neither rank nor nullspace and scales the determinant by
-a known factor.  The inverse leaves its pass as integer rows X over one divisor
-d, A X = d I (_inverse_int), which the substitution kernel of exterior takes
-as they are; inverse_fraction is their Fraction view.  inertia_fraction and
-skew_pairs are not solves: they apply each operation to rows and columns alike
-(congruence), which a one-sided row reduction cannot reproduce.  Both scale the
-whole matrix once to integers and divide each Schur complement by its content
-instead of by pivots: what they return (the inertia, the rank and the sign of
-the Pfaffian) survives a positive scaling.  No elimination here runs on
-Fraction, and nothing in this module ever rounds.
+and growth stays polynomial.  Every entry point scales its rational input to
+integers in one place, _scale_to_int, which multiplies the whole matrix by the
+least positive integer l that clears its denominators: that changes neither
+rank nor nullspace, and multiplies the determinant of an n x n matrix by l^n.
+Every row takes the same l, so the k x k pivots of a rational system carry
+l^k; src passes rank_rows and nullspace_rows only integer systems.
+The inverse leaves its pass as integer rows X over one divisor d, A X = d I
+(_inverse_int), which the substitution kernel of exterior takes as they are;
+inverse_fraction is their Fraction view.  inertia_fraction and skew_pairs are
+not solves: they apply each operation to rows and columns alike (congruence),
+which a one-sided row reduction cannot reproduce.  Both divide each Schur
+complement by its content instead of by pivots: what they return (the
+inertia, the rank and the sign of the Pfaffian) survives a positive scaling.
+No elimination here runs on Fraction, and nothing in this module ever rounds.
 
 rank_rows, and nullspace_rows on a system with at least as many rows as
 columns, first take the rank modulo the prime _P (_rank_mod_p) when the
@@ -35,12 +38,11 @@ time; that is what makes it cheaper than Bareiss on the same rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from struct import pack, unpack
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Scalar = int | Fraction
-_INT_ONLY = frozenset({int})
 # The certificate modulo _P packs each row of residues into one Python int,
 # 64 bits a column.  A row meets each pivot column at most once, and each
 # time adds less than _P^2 < 2^30 to a slot, so with _P below 2^15 a slot
@@ -59,7 +61,7 @@ _P = 32749
 # least twice as many rows as columns is tried at any width: the pass stops
 # after about ncols rows, while Bareiss updates every row below each pivot.
 # On the degree-1 contraction maps of generic forms with entries in [-9, 9]
-# (same host, in-process, best of 5, row scaling included): 56 x 8 of a
+# (same host, in-process, best of 5, integer scaling included): 56 x 8 of a
 # 4-form on R^8 took 0.23-0.25 ms in Bareiss against 0.062 ms modulo _P,
 # 28 x 8 of a 3-form on R^8 0.119 against 0.051 ms, 21 x 7 on R^7 0.073-0.077
 # against 0.041 ms and 15 x 6 on R^6 0.038 against 0.030 ms.
@@ -67,7 +69,6 @@ _CERTIFY_MIN_COLS = 12
 
 __all__ = [
     "as_fraction",
-    "to_int_rows",
     "row_echelon_int",
     "rank_rows",
     "nullspace_rows",
@@ -88,25 +89,19 @@ def as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
-def _row_lcm(row: Iterable[Scalar]) -> int:
-    return lcm(*[x.denominator for x in row])
-
-
-def to_int_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Scale each row by the lcm l of its denominators; rank and nullspace survive.
-
-    Each entry, an int being its own numerator over 1, becomes
-    numerator * (l // denominator), with no Fraction arithmetic.  A row that
-    holds only ints is copied as it is, after one type scan.
+def _scale_to_int(mat: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """(l * mat, l) as fresh lists of ints, l the least positive integer that
+    clears every denominator: one factor for the whole matrix, so a congruence
+    stays one.  TypeError on an entry that is neither an int nor a Fraction.
     """
-    out = []
-    for row in rows:
-        if _INT_ONLY.issuperset(map(type, row)):
-            out.append(list(row))
-        else:
-            l = _row_lcm(row)
-            out.append([x.numerator * (l // x.denominator) for x in row])
-    return out
+    types = {type(x) for row in mat for x in row}
+    if types <= {int}:
+        return [list(row) for row in mat], 1
+    for t in types:
+        if not issubclass(t, (int, Fraction)):
+            raise TypeError(f"expected an int or Fraction, got {t.__name__}")
+    l = lcm(*{x.denominator for row in mat for x in row})
+    return [[x.numerator * (l // x.denominator) for x in row] for row in mat], l
 
 
 def row_echelon_int(
@@ -237,7 +232,7 @@ def rank_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
     Systems with fewer than _CERTIFY_MIN_COLS columns skip the certificate
     unless they have at least twice as many rows as columns.
     """
-    mat = to_int_rows(rows)
+    mat, _ = _scale_to_int(rows)
     full = min(len(mat), ncols)
     if _certifies(len(mat), ncols) and _rank_mod_p(mat, ncols) == full:
         return full
@@ -247,7 +242,7 @@ def rank_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
 
 def primitive_vector(vec: Sequence[Scalar]) -> list[int]:
     """Clear denominators and divide by the content; leading nonzero made positive."""
-    (ints,) = to_int_rows([vec])
+    (ints,), _ = _scale_to_int([vec])
     g = gcd(*ints)
     if g == 0:
         return ints
@@ -272,7 +267,7 @@ def nullspace_rows(
     one with fewer than _CERTIFY_MIN_COLS columns and fewer than twice as
     many rows as columns.
     """
-    mat = to_int_rows(rows)
+    mat, _ = _scale_to_int(rows)
     if ncols <= len(mat) and _certifies(len(mat), ncols) and _rank_mod_p(mat, ncols) == ncols:
         return [], []
     pivots, _ = row_echelon_int(mat, ncols)
@@ -286,14 +281,14 @@ def nullspace_rows(
 
 
 def det_fraction(entries: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Determinant: the last Bareiss pivot over the row scalings of to_int_rows."""
+    """Determinant: the last Bareiss pivot of l * entries over l^n (_scale_to_int)."""
     n = len(entries)
-    mat = to_int_rows(entries)
+    mat, l = _scale_to_int(entries)
     pivots, sign = row_echelon_int(mat, n)
     if len(pivots) < n:
         return Fraction(0)
     last = mat[n - 1][n - 1] if n else 1
-    return Fraction(sign * last, prod(map(_row_lcm, entries)))
+    return Fraction(sign * last, l**n)
 
 
 def _inverse_int(entries: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
@@ -304,7 +299,7 @@ def _inverse_int(entries: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], 
     the A block (1 at n = 0), the same for every j; d may be negative.
     """
     n = len(entries)
-    mat = to_int_rows(
+    mat, _ = _scale_to_int(
         [[*row, *(-int(i == j) for j in range(n))] for i, row in enumerate(entries)]
     )
     pivots, _ = row_echelon_int(mat, 2 * n)
@@ -319,19 +314,6 @@ def inverse_fraction(entries: Sequence[Sequence[Scalar]]) -> list[list[Fraction]
     """The inverse X / d of (X, d) = _inverse_int(entries); ZeroDivisionError if singular."""
     rows, d = _inverse_int(entries)
     return [[Fraction(v, d) for v in row] for row in rows]
-
-
-def _scale_to_int(mat: Sequence[Sequence[Scalar]]) -> tuple[Sequence[Sequence[int]], int]:
-    """(l * mat, l) for l the lcm of all denominators of mat: one positive
-    factor for the whole matrix, so a congruence stays a congruence and every
-    product of k entries carries the same l^k, which the per-row scaling of
-    to_int_rows does not give.  An all-int matrix is returned as it is, with
-    l = 1.
-    """
-    if all(_INT_ONLY.issuperset(map(type, row)) for row in mat):
-        return mat, 1
-    l = lcm(*[_row_lcm(row) for row in mat])
-    return [[x.numerator * (l // x.denominator) for x in row] for row in mat], l
 
 
 def _divide_content(M: list[list[int]]) -> None:
@@ -444,7 +426,7 @@ def skew_pairs(skew: Sequence[Sequence[Scalar]]) -> tuple[int, int]:
     times its Schur complement, where b_i, b_j are rows i, j off the block.
     Each new block is divided by its content.  The empty matrix has Pf 1.
     """
-    S = [list(row) for row in _scale_to_int(skew)[0]]
+    S, _ = _scale_to_int(skew)
     _divide_content(S)
     pairs = 0
     sign = 1

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -178,6 +180,8 @@ def test_volume_and_inner_product_validation():
         InnerProduct([[1, 2], [3, 1]])  # not symmetric
     with pytest.raises(ValueError):
         InnerProduct([[1, 2], [2, 1]])  # not positive definite
+    with pytest.raises(TypeError, match="float"):
+        InnerProduct([[1.0, 0], [0, 1]])
     assert InnerProduct.identity(3).is_identity
     assert not InnerProduct([[2, 0], [0, 1]]).is_identity
 
@@ -214,6 +218,40 @@ def test_linmap_basics():
         LinMap([[1, 2], [2, 4]]).inverse()
     v = Polyvector.from_coords([1, 1])
     assert g.apply(v).coords() == [3, 7]
+    with pytest.raises(TypeError, match="float"):
+        LinMap([[1, 0.5], [0, 1]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_linmap_over_one_divisor_matches_fraction_oracles(data):
+    # rows / den with den the least common denominator; every operation is
+    # checked against the same operation on the Fraction entries
+    n = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    M, N = data.draw(square), data.draw(square)
+    g, h = LinMap(M), LinMap(N)
+    assert g.entries == tuple(map(tuple, M))
+    assert g.den == lcm(*[Fraction(x).denominator for row in M for x in row])
+    for spelling in (Fraction, lambda x: int(x) if Fraction(x).denominator == 1 else x):
+        other = LinMap([[spelling(x) for x in row] for row in M])
+        assert other == g and hash(other) == hash(g)
+    assert g.det == det_oracle(M)
+    prod = [[sum(M[i][t] * N[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    assert (g @ h).entries == tuple(map(tuple, prod))
+    assert g.transpose().entries == tuple(zip(*M))
+    v = data.draw(vectors(n))
+    assert g.apply(Polyvector.from_coords(v)).coords() == [sum(map(mul, row, v)) for row in M]
+    if g.det:
+        inv = g.inverse().entries
+        one = [[sum(M[i][t] * inv[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        assert one == [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        with pytest.raises(SingularMatrix):
+            g.inverse()
+    gram = [[sum(r[i] * r[j] for r in M) + (i == j) for j in range(n)] for i in range(n)]
+    assert InnerProduct(gram).matrix == tuple(map(tuple, gram))  # M^T M + I
 
 
 # ------------------------------------------------------------- frozen values
@@ -501,8 +539,13 @@ def test_musical_round_trip(xi):
     flat = InnerProduct.identity(4)
     assert musical(flat, xi).terms == xi.terms
     assert musical_inv(flat, musical(flat, xi)) == xi
-    mu = InnerProduct([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
-    assert musical_inv(mu, musical(mu, xi)) == xi
+    r = Fraction(1, 3)
+    for mu in (
+        InnerProduct([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]),
+        # non-integral, stored as integer rows over 12
+        InnerProduct([[r, r, 0, 0], [r, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(3, 4)]]),
+    ):
+        assert musical_inv(mu, musical(mu, xi)) == xi
 
 
 def test_musical_diagonal_frozen():
@@ -514,6 +557,9 @@ def test_musical_diagonal_frozen():
     mu = InnerProduct([[2, 1], [1, 2]])
     assert musical(mu, v) == Form.basis(2, (1,), 2) + Form.basis(2, (2,))
     assert musical(mu, x) == Form.basis(2, (1, 2), 3)
+    mu = InnerProduct([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
+    assert musical(mu, x) == Form.basis(2, (1, 2), Fraction(1, 3))
+    assert musical_inv(mu, Form.basis(2, (1, 2))) == Polyvector.basis(2, (1, 2), 3)
 
 
 def test_linmap_det_matches_oracle(rng):

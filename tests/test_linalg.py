@@ -10,6 +10,7 @@ from formlab import Form, linalg
 from formlab.invariants import _contraction_rows
 from formlab.linalg import (
     _inverse_int,
+    _scale_to_int,
     as_fraction,
     det_fraction,
     inertia_fraction,
@@ -20,7 +21,6 @@ from formlab.linalg import (
     rank_rows,
     row_echelon_int,
     skew_pairs,
-    to_int_rows,
 )
 
 from conftest import (
@@ -36,7 +36,7 @@ from conftest import (
 )
 
 small_int = st.integers(min_value=-9, max_value=9)
-# ints mixed with proper fractions, so row scaling in to_int_rows is exercised
+# ints mixed with proper fractions, so scaling to integers is exercised
 scalar = st.one_of(small_int, st.builds(Fraction, small_int, st.integers(2, 6)))
 
 
@@ -57,9 +57,9 @@ def square_strategy(max_n=4):
 def test_as_fraction_and_int_rows():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
-    # common denominators cleared row by row, not globally
-    rows = to_int_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(5), Fraction(0)]])
-    assert rows == [[3, 2], [5, 0]]
+    # one factor for the whole matrix, the lcm of all its denominators
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(5), Fraction(0)]]
+    assert _scale_to_int(rows) == ([[3, 2], [30, 0]], 6)
 
 
 def test_primitive_vector():
@@ -124,7 +124,7 @@ def test_rank_and_nullspace_match_oracles_on_every_shape(data):
     # B C with inner dimension d has rank at most d, so tall, square and wide
     # shapes come both at full rank and short of it, on either side of the
     # column count at which the certificate modulo a prime is tried; rational
-    # row scales are cleared by to_int_rows first
+    # row scales are cleared by scaling the whole matrix to integers first
     m = data.draw(st.integers(1, 16))
     c = data.draw(st.one_of(st.integers(1, 8), st.integers(12, 14)))
     d = data.draw(st.one_of(st.just(min(m, c)), st.integers(0, min(m, c))))
