@@ -540,13 +540,7 @@ def interior(v: Polyvector, phi: Form) -> Form:
         raise DimensionMismatch(f"dimension {v.n} != {phi.n}")
     if phi.k < 1:
         raise DegreeError("cannot contract a 0-form")
-    out: list[tuple[MultiIndex, Fraction]] = []
-    for idx, c in phi.terms.items():
-        for p, i in enumerate(idx):
-            vc = v.terms.get((i,))
-            if vc is not None:
-                out.append((idx[:p] + idx[p + 1 :], (-vc if p % 2 else vc) * c))
-    return Form(phi.n, phi.k - 1, out)
+    return multi_interior(v, phi)
 
 
 def multi_interior(X: Polyvector, phi: Form) -> Form:
@@ -707,13 +701,7 @@ def poincare(omega: VolumeForm, xi: Polyvector) -> Form:
     """Contraction of a k-vector into the volume form: xi -> i_xi(omega)."""
     if xi.n != omega.n:
         raise DimensionMismatch(f"dimension {xi.n} != {omega.n}")
-    n = omega.n
-    full = tuple(range(1, n + 1))
-    out: dict[MultiIndex, Fraction] = {}
-    for idx, c in xi.terms.items():
-        rest, sign = contract_sign(full, idx)
-        out[rest] = sign * c * omega.scale
-    return Form(n, n - xi.k, out)
+    return multi_interior(xi, omega.as_form())
 
 
 def poincare_inv(omega: VolumeForm, psi: Form) -> Polyvector:

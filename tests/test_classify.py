@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -40,6 +41,7 @@ from formlab.classify import (
     _killing_gram,
     _martinet_form,
 )
+from formlab.cli import main
 from formlab.invariants import _integer_terms, _sextic_gram
 from formlab.linalg import inertia_fraction
 from formlab.sampling import random_form, random_gl, trial_rng
@@ -455,6 +457,21 @@ def test_catalog_generic_entries():
             assert e_.representative.n == n and e_.representative.k == k
             if e_.fingerprint is not None:
                 assert fingerprint(e_.representative) == e_.fingerprint
+
+
+# sha256 over the structured `formlab catalog n k` reports of every
+# 1 <= n <= 12, 0 <= k <= n, in that order: it pins the representatives,
+# notes, provenance, fingerprints, counts and order of the whole catalog.
+CATALOG_REPORTS_SHA256 = "149f56fd6f89931f27ee00316d475bda293fc5462ff95a5f5d5df985ec0f384a"
+
+
+def test_catalog_reports_frozen(capsys):
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        for k in range(n + 1):
+            assert main(["catalog", str(n), str(k), "--format", "structured"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CATALOG_REPORTS_SHA256
 
 
 def test_catalog_fingerprints_are_collision_free():

@@ -304,6 +304,12 @@ def test_poincare_frozen():
     assert poincare(om2, Polyvector.basis(3, (1,))) == Form.basis(3, (2, 3), Fraction(-1, 2))
 
 
+def test_poincare_rejects_a_form():
+    # poincare contracts through multi_interior, which takes polyvectors only
+    with pytest.raises(TypeError):
+        poincare(VolumeForm(3), Form.basis(3, (2,)))
+
+
 # ---------------------------------------------------------------- properties
 
 
