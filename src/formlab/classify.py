@@ -22,7 +22,7 @@ verdict is an OrbitReport that names only the fields it sets.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +34,7 @@ from .exterior import (
     Form,
     FormError,
     VolumeForm,
+    _mask,
     normalize_index,
     wedge,
 )
@@ -346,14 +347,12 @@ def fingerprint(phi: Form) -> Fingerprint:
 
 def _fingerprint(
     phi: Form, ls: LengthSign | None = None
-) -> tuple[Fingerprint, Reduction | None, Callable[[], Fingerprint] | None]:
-    """fingerprint(phi), the reduction it used, and phi_r's fingerprint on demand.
+) -> tuple[Fingerprint, Reduction | None, Fingerprint | None]:
+    """fingerprint(phi), the reduction it used, and phi_r's fingerprint.
 
-    Only classify's catalog path reads phi_r's fingerprint, so the inertia of
-    stab(phi_r)'s Killing Gram is taken only when the third value is called.
-    The reduction and the third value are None for zero forms and 0-forms.
-    ls, phi's LengthSign if the caller holds it, spares _reduced_stabilizer
-    a second Pfaffian elimination.
+    The reduction and phi_r's fingerprint are None for zero forms and
+    0-forms.  ls, phi's LengthSign if the caller holds it, spares
+    _reduced_stabilizer a second Pfaffian elimination.
     """
     red, S, stab_dim, closed = _reduced_stabilizer(phi, ls)
     if red is None:
@@ -362,19 +361,12 @@ def _fingerprint(
     m = n - r
     if S is None:
         sub = Fingerprint(*closed)
-        reduced = lambda: sub
-        profile = sub.rank_profile
-        p, q, z = sub.killing_signature
     else:
         ranks = [rank_rows(*_contraction_rows(red.reduced, j)) for j in range(2, k // 2 + 1)]
-        profile = _mirror([r] + ranks, k)
         gram, scale = _killing_gram(r, S._flat, S._free)
-
-        def reduced() -> Fingerprint:
-            return Fingerprint(profile, S.dim, inertia_fraction(gram))
-
-        if not m:
-            return reduced(), red, reduced
+        sub = Fingerprint(_mirror([r] + ranks, k), S.dim, inertia_fraction(gram))
+    p, q, z = sub.killing_signature
+    if S is not None and m:
         flats = S._flat
         traces = [sum(x[:: r + 1]) for x in flats]
         transposed = [[y for c in range(r) for y in x[c::r]] for x in flats]
@@ -388,7 +380,7 @@ def _fingerprint(
         ]
         p, q, z = inertia_fraction(block)
     killing = (p + m * (m + 1) // 2, q + m * (m - 1) // 2, z + r * m)
-    return Fingerprint(profile, stab_dim, killing), red, reduced
+    return Fingerprint(sub.rank_profile, stab_dim, killing), red, sub
 
 
 @dataclass(frozen=True)
@@ -454,7 +446,7 @@ def _diagonal_reversal(phi: Form) -> bool:
         return x
 
     for idx in phi.terms:
-        x = reduce(sum(1 << (i - 1) for i in idx))
+        x = reduce(_mask(idx))
         pivots[x.bit_length()] = x
     return reduce((1 << phi.n) - 1) != 0
 
@@ -736,7 +728,7 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         # every 2-form returned above, so only codimension two can be complete here
         sub = classify_codim_two(red.reduced)
     else:
-        sub = _catalog_verdict(red.reduced, reduced_fingerprint())
+        sub = _catalog_verdict(red.reduced, reduced_fingerprint)
     notes = ("no catalog match for the reduced form",) if sub.kind == "unknown" else sub.notes
     # An exact sub-verdict has no candidates, a candidates one no id or canonical form.
     return replace(

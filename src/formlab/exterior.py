@@ -15,6 +15,17 @@ Conventions, fixed once and used everywhere:
   act(g1, act(g2, phi)) == act(g1 @ g2, phi).  On polyvectors the action is
   the direct image (g applied to every slot).
 
+The sign and bitmask rules of multi-indices are worked out here alone;
+invariants, classify and sampling import them:
+
+* normalize_index sorts an index sequence and returns the sign of the
+  sorting permutation, or None when an index repeats.  That is the sign of
+  a permutation and the Koszul sign of wedge.
+* contract_sign removes indices by the first-slot rule above.
+* _mask numbers a multi-index by its bitmask, index i being bit i - 1, and
+  _index reads one back.  _inserted inserts an index into a bitmask, signed
+  by the parity of the indices above it.
+
 LinMap and InnerProduct store their matrix as integer rows over one
 divisor, and every action is one substitution kernel, _substitute, which
 replaces each basis covector by a row of the matrix.  It runs on Python
@@ -137,33 +148,6 @@ def contract_sign(outer: MultiIndex, inner: MultiIndex) -> tuple[MultiIndex, int
             sign = -sign
         del rest[p]
     return tuple(rest), sign
-
-
-def _merge_disjoint(left: MultiIndex, right: MultiIndex) -> tuple[MultiIndex, int] | None:
-    """Merge two increasing index tuples, counting the Koszul sign.
-
-    None when they intersect.  The sign is (-1)^(number of transpositions
-    needed to interleave right into left).
-    """
-    merged: list[int] = []
-    sign = 1
-    a, b = 0, 0
-    la, lb = len(left), len(right)
-    while a < la and b < lb:
-        x, y = left[a], right[b]
-        if x == y:
-            return None
-        if x < y:
-            merged.append(x)
-            a += 1
-        else:
-            merged.append(y)
-            b += 1
-            if (la - a) % 2:
-                sign = -sign
-    merged.extend(left[a:])
-    merged.extend(right[b:])
-    return tuple(merged), sign
 
 
 def _clean_terms(
@@ -511,7 +495,8 @@ def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
     """Exterior product of two forms or two polyvectors.
 
     Degrees add; when they exceed n the result is the zero tensor of that
-    degree, which is the whole of the exterior power there.
+    degree, which is the whole of the exterior power there.  e^I ^ e^J is
+    the sorted I + J signed by normalize_index, zero when I and J meet.
     """
     if type(a) is not type(b):
         raise TypeError("wedge needs two tensors of the same variance")
@@ -523,7 +508,7 @@ def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
     out: list[tuple[MultiIndex, Fraction]] = []
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
-            merged = _merge_disjoint(ia, ib)
+            merged = normalize_index(ia + ib)
             if merged is not None:
                 idx, sign = merged
                 out.append((idx, sign * ca * cb))
@@ -576,8 +561,19 @@ _INSERTS: dict[int, dict[int, list[int | None]]] = {}
 _TUPLES: dict[int, MultiIndex] = {}
 
 
+def _mask(idx: MultiIndex) -> int:
+    """The bitmask of a multi-index: index i is bit i - 1."""
+    return sum([1 << i for i in idx]) >> 1
+
+
+def _index(mask: int) -> MultiIndex:
+    """The ascending multi-index with bitmask mask; inverse of _mask."""
+    return tuple([i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1])
+
+
 def _inserted(s: int, j: int) -> int:
-    """The entry for inserting j into the subset with bitmask s."""
+    """The entry for inserting j into the subset with bitmask s: 0 when j is
+    in s, else +-(s with j), signed by the parity of the entries above j."""
     bit = 1 << (j - 1)
     if s & bit:
         return 0
@@ -650,7 +646,7 @@ def _substitute(terms, int_rows, d: int, n: int) -> dict[MultiIndex, Fraction]:
         if c:
             idx = _TUPLES.get(s)
             if idx is None:
-                idx = _TUPLES[s] = tuple([j for j in range(1, n + 1) if s >> (j - 1) & 1])
+                idx = _TUPLES[s] = _index(s)
             out[idx] = Fraction(c, div)
     return out
 

@@ -23,16 +23,19 @@ from operator import mul
 
 from .exterior import (
     DegreeError,
+    DimensionMismatch,
     Form,
     FormError,
     LinMap,
     MultiIndex,
     Polyvector,
     VolumeForm,
+    _index,
+    _inserted,
+    _mask,
     act,
     contract_sign,
     normalize_index,
-    poincare_inv,
 )
 from .linalg import (
     Scalar,
@@ -73,8 +76,8 @@ def _integer_terms(t) -> list[tuple[MultiIndex, int]]:
 
 # Row tables of the contraction and stabilizer systems, shared by every
 # call.  A row of either system is numbered by the bitmask of its
-# multi-index, index i being bit i - 1, and an entry (row, column, sign)
-# says that a term c e^idx adds sign * c to that row at that column.
+# multi-index (exterior._mask), and an entry (row, column, sign) says that
+# a term c e^idx adds sign * c to that row at that column.
 #
 # _CONTRACTIONS[n, k, j][idx] holds, for each degree-j subset J of idx in
 # lexicographic order, the row of the rest of idx, the column of J among
@@ -97,14 +100,6 @@ _CONTRACTIONS: dict[tuple[int, int, int], dict[MultiIndex, Entries]] = {}
 _STABILIZERS: dict[int, dict[MultiIndex, Entries]] = {}
 
 
-def _mask(idx: MultiIndex) -> int:
-    return sum([1 << i for i in idx]) >> 1
-
-
-def _index(mask: int) -> MultiIndex:
-    return tuple([i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1])
-
-
 @lru_cache(maxsize=None)
 def _subset_columns(n: int, j: int) -> dict[MultiIndex, int]:
     """Position of each degree-j multi-index on R^n in lexicographic order."""
@@ -123,21 +118,22 @@ def _contraction_entries(idx: MultiIndex, n: int, j: int) -> Entries:
 def _stabilizer_entries(idx: MultiIndex, n: int) -> Entries:
     """A[i][b] on e^idx: column (i-1)*n + (b-1), row e^(idx with b in slot p of i).
 
-    That is zero when b is another index of idx; otherwise b sorts into gap q
-    of the indices that remain, which takes |p - q| transpositions, and the
-    entry has sign (-1)^(p - q + 1).  Slots p, then gaps q, then b ascending.
+    Moving b from slot p to the last of the k slots costs (-1)^(k-1-p),
+    inserting it into the rest is exterior._inserted (zero when b is another
+    index of idx), and the action adds one more minus.  Slots p, then b
+    ascending.
     """
+    k = len(idx)
     full = _mask(idx)
     entries = []
     for p, i in enumerate(idx):
-        rest = idx[:p] + idx[p + 1 :]
-        bounds = (0,) + rest + (n + 1,)
         without = full ^ (1 << (i - 1))
         col = (i - 1) * n - 1
-        for q in range(len(idx)):
-            sign = 1 if (p - q) % 2 else -1
-            for b in range(bounds[q] + 1, bounds[q + 1]):
-                entries += without | (1 << (b - 1)), col + b, sign
+        sign = -1 if (k - p) % 2 else 1
+        for b in range(1, n + 1):
+            v = _inserted(without, b)
+            if v:
+                entries += abs(v), col + b, sign if v > 0 else -sign
     return tuple(entries)
 
 
@@ -341,19 +337,15 @@ Splits = tuple[list[int], list[int], list[int]]
 
 
 @lru_cache(maxsize=None)
-def _top_pairings(
-    r: int,
-) -> tuple[dict[MultiIndex, int], dict[MultiIndex, int], tuple[Splits, ...]]:
-    """Index tables for 3-forms on R^r, with pairs and triples numbered lexicographically.
+def _top_pairings(r: int) -> tuple[Splits, ...]:
+    """Index tables for 3-forms on R^r, with pairs and triples at their _subset_columns.
 
-    Returns the positions of the pairs and of the triples, and for each
-    (r-5)-index s, in lexicographic order, the pairs p and triples t that
-    split the rest of 1..r (as positions) with the signs of
+    For each (r-5)-index s, in lexicographic order, the pairs p and triples
+    t that split the rest of 1..r (as positions) with the signs of
     e^s ^ e^p ^ e^t on e^{1..r}.
     """
     full = range(1, r + 1)
-    pair_at = {p: i for i, p in enumerate(combinations(full, 2))}
-    triple_at = {t: i for i, t in enumerate(combinations(full, 3))}
+    pair_at, triple_at = _subset_columns(r, 2), _subset_columns(r, 3)
     table = []
     for s in combinations(full, r - 5):
         rest = [i for i in full if i not in s]
@@ -365,7 +357,7 @@ def _top_pairings(
                 [normalize_index(s + p + t)[1] for p, t in splits],
             )
         )
-    return pair_at, triple_at, tuple(table)
+    return tuple(table)
 
 
 def _psi_duals(
@@ -380,7 +372,8 @@ def _psi_duals(
     are the coordinates, with their signs, of the vector that poincare_inv
     dualizes psi_w to.
     """
-    pair_at, triple_at, table = _top_pairings(r)
+    pair_at, triple_at = _subset_columns(r, 2), _subset_columns(r, 3)
+    table = _top_pairings(r)
     cont = [[0] * len(pair_at) for _ in range(r)]
     coeff = [0] * len(triple_at)
     for (a, b, c), x in terms:
@@ -401,7 +394,7 @@ def _psi_duals(
 def _vector_wedges(r: int) -> tuple[Splits, ...]:
     """e^u ^ e^p on R^r for u = 1..r: the pairs p without u, the triples s
     that u and p make (as positions), and the signs of e^u ^ e^p = sign e^s."""
-    pair_at, triple_at, _ = _top_pairings(r)
+    pair_at, triple_at = _subset_columns(r, 2), _subset_columns(r, 3)
     table = []
     for u in range(1, r + 1):
         wedges = [(p, *normalize_index((u,) + p)) for p in pair_at if u not in p]
@@ -598,13 +591,25 @@ class LengthSign:
     sign: int
 
 
-def _bivector_matrix(xi: Polyvector) -> list[list[int]]:
-    """Skew matrix of xi from _integer_terms: a positive scale keeps sign Pf."""
-    n = xi.n
+def _bivector_matrix(phi: Form, omega: VolumeForm) -> list[list[int]]:
+    """Skew matrix of the bivector poincare_inv(omega, phi), up to a positive scale.
+
+    phi's coefficient c at idx puts c / (sign * scale) on the complement
+    {i < j}, where sign = (-1)^(i+j+1) is contract_sign's for removing i,
+    then j, from 1..n.  Taking phi's integer terms and only the sign of the
+    scale multiplies the matrix by a positive number, which keeps its rank
+    and the sign of its Pfaffian.
+    """
+    n = phi.n
+    if n != omega.n:
+        raise DimensionMismatch(f"dimension {n} != {omega.n}")
+    full = (1 << n) - 1
+    flip = 1 if omega.scale > 0 else -1
     S = [[0] * n for _ in range(n)]
-    for (i, j), c in _integer_terms(xi):
-        S[i - 1][j - 1] = c
-        S[j - 1][i - 1] = -c
+    for idx, c in _integer_terms(phi):
+        i, j = _index(full ^ _mask(idx))
+        c = flip * c if (i + j) % 2 else -flip * c
+        S[i - 1][j - 1], S[j - 1][i - 1] = c, -c
     return S
 
 
@@ -617,8 +622,7 @@ def length_and_sign(phi: Form, omega: VolumeForm) -> LengthSign:
         raise DegreeError(f"degree {phi.k} is not {phi.n} - 2")
     if phi.is_zero:
         return LengthSign(0, None, 0)
-    xi = poincare_inv(omega, phi)
-    l, pf = skew_pairs(_bivector_matrix(xi))
+    l, pf = skew_pairs(_bivector_matrix(phi, omega))
     if 2 * l < phi.n:
         return LengthSign(l, None, 1)
     # Maximal length: a congruence C taking S to e_12 + ... + e_{n-1,n} has

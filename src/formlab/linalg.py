@@ -76,7 +76,6 @@ __all__ = [
     "inverse_fraction",
     "inertia_fraction",
     "skew_pairs",
-    "parity_sign",
     "primitive_vector",
 ]
 
@@ -454,13 +453,3 @@ def skew_pairs(skew: Sequence[Sequence[Scalar]]) -> tuple[int, int]:
         _divide_content(S)
         pairs += 1
     return pairs, sign
-
-
-def parity_sign(seq: Sequence[int]) -> int:
-    """Sign of the permutation written as a sequence of distinct values."""
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return -1 if inv % 2 else 1

@@ -13,8 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .exterior import Form, LinMap
-from .linalg import parity_sign
+from .exterior import Form, LinMap, normalize_index
 
 __all__ = ["trial_rng", "random_form", "random_nonzero_form", "random_gl"]
 
@@ -66,7 +65,7 @@ def random_gl(n: int, rng: random.Random, det_sign: int = 1) -> LinMap:
     perm = list(range(n))
     rng.shuffle(perm)
     rows = [rows[p] for p in perm]
-    if parity_sign(perm) != det_sign:
+    if normalize_index(perm)[1] != det_sign:
         rows[0] = [-x for x in rows[0]]
     g = LinMap(rows)
     assert g.det == det_sign

@@ -27,7 +27,6 @@ from formlab import (
     twisted_act,
     wedge,
 )
-from formlab.linalg import parity_sign
 from formlab.sampling import random_gl, trial_rng
 
 from conftest import pairing

@@ -77,11 +77,14 @@ def orientation_preserving_maps(n):
 # ---------------------------------------------------------------- index logic
 
 
-@given(st.permutations([1, 4, 5, 7]))
-def test_normalize_index_sign_is_permutation_parity(seq):
-    idx, sign = normalize_index(seq)
-    assert idx == (1, 4, 5, 7)
-    assert sign == perm_sign(seq)
+@given(st.integers(0, 6).flatmap(lambda m: st.permutations(list(range(m)))))
+def test_normalize_index_sign_is_permutation_parity(perm):
+    # the sign of any distinct values is the parity of their permutation:
+    # 0..m-1 itself, and the same pattern on the spread values 3x + 1
+    m = len(perm)
+    assert normalize_index(perm) == (tuple(range(m)), perm_sign(perm))
+    spread = [x * 3 + 1 for x in perm]
+    assert normalize_index(spread) == (tuple(range(1, 3 * m, 3)), perm_sign(perm))
 
 
 def test_normalize_index_rejects_duplicates():

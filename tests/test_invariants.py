@@ -293,6 +293,11 @@ def test_tables_fill_only_the_indices_met(monkeypatch):
     assert len(tables) == 3
     assert all(t.keys() == terms.keys() for t in tables)
     assert invariants._STABILIZERS[12].keys() == terms.keys()
+    # every entry filled on R^n, n <= 7, gives the rows of the oracle
+    for n in range(1, 8):
+        for k in range(n + 1):
+            for idx in _indices(n, k):
+                assert _stabilizer_rows([(idx, 1)], n) == stabilizer_rows_oracle([(idx, 1)], n)
 
 
 @pytest.mark.parametrize("cls", [Form, Polyvector])
@@ -379,9 +384,10 @@ rational = st.builds(
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_length_and_sign_reads_the_pfaffian(data):
-    # random rational (n-2)-forms and volumes: length is half the rank of the
-    # dual bivector xi, and at maximal length lam is the sign of scale * Pf(xi)
-    n = data.draw(st.sampled_from((4, 6, 8)))
+    # random rational (n-2)-forms and volumes, n = 3..12: length is half the
+    # rank of the dual bivector xi that poincare_inv gives, and at maximal
+    # length (even n only) lam is the sign of scale * Pf(xi)
+    n = data.draw(st.integers(3, 12))
     terms = {
         idx: data.draw(st.one_of(st.just(0), rational))
         for idx in combinations(range(1, n + 1), n - 2)

@@ -16,7 +16,6 @@ from formlab.linalg import (
     inertia_fraction,
     inverse_fraction,
     nullspace_rows,
-    parity_sign,
     primitive_vector,
     rank_rows,
     row_echelon_int,
@@ -28,7 +27,6 @@ from conftest import (
     det_oracle,
     inertia_oracle,
     nullspace_oracle,
-    perm_sign,
     pfaffian_oracle,
     random_int_matrix,
     rank_mod_p_oracle,
@@ -462,10 +460,3 @@ def test_skew_pairs_matches_rank_and_pfaffian(data):
     assert 2 * l == rref_rank(skew, m)
     pf = pfaffian_oracle(skew)
     assert s == (pf > 0) - (pf < 0)
-
-
-@given(st.permutations(list(range(6))))
-def test_parity_sign_matches_inversion_oracle(perm):
-    assert parity_sign(perm) == perm_sign(perm)
-    # applies to any distinct-value sequence, not just 0..n-1
-    assert parity_sign([x * 3 + 1 for x in perm]) == perm_sign(perm)
