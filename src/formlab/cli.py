@@ -19,7 +19,6 @@ from typing import Any
 
 from .classify import (
     _check_coverage,
-    _fingerprint,
     catalog_entries,
     classify,
     sample_orbit_statistics,
@@ -44,6 +43,7 @@ from .exterior import (
     musical,
 )
 from .invariants import (
+    _fingerprint,
     _kernel_reflection,
     length_and_sign,
     nilpotency_witness_degenerate,

@@ -2,14 +2,21 @@
 
 Everything here reduces to exact integer or rational linear algebra: the
 contraction operator L_phi, its kernel, the stabilizer algebra inside
-gl(n, Q), and the length/sign data of codimension-two forms.  Three kinds of
-form get the dimension of their stabilizer without solving for it
-(_reduced_stabilizer): decomposable forms, full-rank (n-2)-forms, and
-3-forms of rank 6, 7 or 8 that are stable.  One integer kernel builds the
-5-forms i_v phi ^ phi on integer coefficients, and from them Hitchin's
-quartic lambda (rank 6), Bryant's bilinear form B (rank 7) and a sextic
-bilinear form Q (rank 8).  Each detects stability itself (lambda != 0,
-det B != 0, det Q != 0) and names the orbit by a sign or an inertia.
+gl(n, Q), and the length/sign data of codimension-two forms.
+
+The fingerprint packs three exact invariants: the contraction rank profile,
+the stabilizer dimension and the Killing signature.  A form of rank r < n
+is fingerprinted on its rank-r reduction phi_r, and the rank-r lift
+(fingerprint, which proves it) carries phi_r's fingerprint to R^n.  Four
+kinds of phi_r get their fingerprint in closed form, with no stabilizer
+solved (_closed_form): decomposable forms, full-rank (n-2)-forms, 2-forms of
+rank > 2, and 3-forms of rank 6, 7 or 8 that are stable.  One integer kernel
+builds the 5-forms i_v phi ^ phi on integer coefficients, and from them
+Hitchin's quartic lambda (rank 6), Bryant's bilinear form B (rank 7) and a
+sextic bilinear form Q (rank 8).  Each detects stability itself
+(lambda != 0, det B != 0, det Q != 0) and names the orbit by a sign or an
+inertia.  orbit_dimension and is_stable take the same reduction and closed
+forms, and build no Killing form.
 """
 
 from __future__ import annotations
@@ -329,7 +336,124 @@ def stabilizer_algebra(phi: Form) -> StabAlgebra:
     return StabAlgebra(n=n, dim=len(flat), _flat=tuple(map(tuple, flat)), _free=tuple(free))
 
 
-ClosedForm = tuple[tuple[int, ...], int, tuple[int, int, int]]
+@dataclass(frozen=True)
+class Fingerprint:
+    """Exact orbit invariants used to discriminate forms.
+
+    rank_profile lists the ranks of the contraction maps from degree j
+    polyvectors, j = 1..k-1; stab_dim is the stabilizer algebra dimension;
+    killing_signature is the inertia (p, q, z) of its Killing form.  The
+    triple is invariant under the group action but deliberately incomplete:
+    distinct orbits may collide.
+    """
+
+    rank_profile: tuple[int, ...]
+    stab_dim: int
+    killing_signature: tuple[int, int, int]
+
+    def __str__(self) -> str:
+        rp = ",".join(map(str, self.rank_profile))
+        p, q, z = self.killing_signature
+        return f"profile=({rp}) stab={self.stab_dim} killing=({p},{q},{z})"
+
+
+def rank_profile(phi: Form) -> tuple[int, ...]:
+    """Ranks of the maps (degree j polyvectors) -> (degree k-j forms), j < k.
+
+    Only j <= k/2 is solved; _mirror fills in the rest.
+    """
+    k = phi.k
+    return _mirror([rank_rows(*_contraction_rows(phi, j)) for j in range(1, k // 2 + 1)], k)
+
+
+def _mirror(half: list[int], k: int) -> tuple[int, ...]:
+    """The rank profile j = 1..k-1 from its ranks at j = 1..k/2.
+
+    The maps from degree j and from degree k - j are transposes of one
+    pairing, (X, Y) -> phi(X ^ Y), so their ranks agree.
+    """
+    return tuple(half[min(j, k - j) - 1] for j in range(1, k))
+
+
+def killing_signature(S: StabAlgebra) -> tuple[int, int, int]:
+    """Inertia of K(A, B) = tr(ad_A ad_B) on the span of the basis.
+
+    Structure constants are read off at the free spots of the nullspace basis,
+    one dot product of a row and a column per pair of basis elements that meet
+    there, and scaled to integers so the Gram matrix stays integral; positive
+    scaling does not move inertia.  Each trace gathers only the nonzeros of
+    one ad against the other (_killing_gram).
+    """
+    if S.dim == 0:
+        return (0, 0, 0)
+    return inertia_fraction(_killing_gram(S.n, S._flat, S._free)[0])
+
+
+def _killing_gram(
+    n: int, flats: tuple[tuple[int, ...], ...], free: tuple[int, ...]
+) -> tuple[list[list[int]], int]:
+    """Integer Gram matrix scale^2 * tr(ad X_t ad X_u) of the stored basis, and scale.
+
+    Basis element v is the only one nonzero at its free spot (i, j), so the
+    v-coordinate of [X_t, X_u] is its (i, j) entry over the pivot of v:
+    X_t[i,:].X_u[:,j] - X_u[i,:].X_t[:,j].  Per spot, only elements with a
+    nonzero row i meet elements with a nonzero column j; each product is a
+    C-level dot product, and antisymmetry gives [X_u, X_t] for free.  Each
+    ad X_t keeps only its nonzeros, which are gathered against the flat
+    transpose of ad X_u, so the trace costs one product per nonzero.
+    """
+    s = len(flats)
+    piv = [flats[t][free[t]] for t in range(s)]
+    scale = lcm(*(abs(p) for p in piv))
+    rows = [[v[r * n : (r + 1) * n] for r in range(n)] for v in flats]
+    cols = [[v[c::n] for c in range(n)] for v in flats]
+    with_row = [[t for t in range(s) if any(rows[t][r])] for r in range(n)]
+    with_col = [[t for t in range(s) if any(cols[t][c])] for c in range(n)]
+    # ad X_t as parallel lists: keys[t] holds v*s + u for a nonzero entry
+    # ad_t[v][u] = scale * (coefficient of basis v in [X_t, X_u]), vals[t]
+    # the value.  Keys are taken from `position`, so every ad that has an
+    # entry at v*s + u shares one int object for it.
+    position = list(range(s * s))
+    keys: list[list[int]] = [[] for _ in range(s)]
+    vals: list[list[int]] = [[] for _ in range(s)]
+    for v, f in enumerate(free):
+        i, j = divmod(f, n)
+        m = scale // piv[v]
+        col_j = [(u, cols[u][j]) for u in with_col[j]]
+        dots: dict[tuple[int, int], int] = {}
+        for t in with_row[i]:
+            row = rows[t][i]
+            for u, col in col_j:
+                if u != t:
+                    d = sum(map(mul, row, col))
+                    if d:
+                        dots[t, u] = d
+        base = v * s
+        for (t, u), d in dots.items():
+            back = dots.get((u, t))
+            if back is not None:
+                if t > u:
+                    continue
+                d -= back
+                if not d:
+                    continue
+            c = m * d
+            keys[t].append(position[base + u])
+            vals[t].append(c)
+            keys[u].append(position[base + t])
+            vals[u].append(-c)
+    gram = [[0] * s for _ in range(s)]
+    for u in range(s):
+        transposed = [0] * (s * s)
+        for p, x in zip(keys[u], vals[u]):
+            v, w = divmod(p, s)
+            transposed[w * s + v] = x
+        gather = transposed.__getitem__
+        for t in range(u + 1):
+            total = sum(map(mul, vals[t], map(gather, keys[t])))
+            gram[t][u] = total
+            gram[u][t] = total
+    return gram, scale
 
 
 # Parallel lists of pair positions, triple positions and signs.
@@ -462,48 +586,49 @@ def _bryant_gram(terms: list[tuple[MultiIndex, int]]) -> list[list[int]]:
 
 # The Killing inertia of stab(phi) for each inertia of Q that an open orbit
 # of 3-forms on R^8 has, read off the Cartan forms of sl(3, R), su(2, 1) and
-# su(3) (see classify.fingerprint).
+# su(3) (see fingerprint).
 _SEXTIC_KILLING = {(5, 3, 0): (5, 3, 0), (4, 4, 0): (4, 4, 0), (8, 0, 0): (0, 8, 0)}
 
 
-def _stable_three_form(phi: Form) -> ClosedForm | None:
-    """Profile, stabilizer dimension and Killing signature of a stable 3-form on R^6, R^7 or R^8.
+def _stable_three_form(phi: Form) -> Fingerprint | None:
+    """The fingerprint of a stable 3-form on R^6, R^7 or R^8.
 
     None when phi is not stable: lambda = 0 on R^6, det B = 0 on R^7, and on
     R^8 a Q of any inertia but the three of the open orbits, all of which
     have det Q != 0 (det Q = 0 is exactly the unstable set; the proof is in
-    classify.fingerprint).  A positive scale c of the terms multiplies
-    tr K^2 by c^4, B by c^3 and Q by c^6, so neither the sign nor the
-    inertia moves.
+    fingerprint).  A positive scale c of the terms multiplies tr K^2 by
+    c^4, B by c^3 and Q by c^6, so neither the sign nor the inertia moves.
     """
     terms = _integer_terms(phi)
     if phi.n == 6:
         t = _hitchin_trace(terms)
         if not t:
             return None
-        return (6, 6), 16, ((10, 6, 0) if t > 0 else (8, 8, 0))
+        return Fingerprint((6, 6), 16, (10, 6, 0) if t > 0 else (8, 8, 0))
     if phi.n == 8:
         killing = _SEXTIC_KILLING.get(inertia_fraction(_sextic_gram(terms)))
         if killing is None:
             return None
-        return (8, 8), 8, killing
+        return Fingerprint((8, 8), 8, killing)
     p, q, z = inertia_fraction(_bryant_gram(terms))
     if z:
         return None
-    return (7, 7), 14, ((0, 14, 0) if not p or not q else (8, 6, 0))
+    return Fingerprint((7, 7), 14, (0, 14, 0) if not p or not q else (8, 6, 0))
 
 
-def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
-    """The fingerprint of phi_r as (profile, s_r, killing) when it needs no solve.
+def _closed_form(red: Reduction, ls: LengthSign | None) -> Fingerprint | None:
+    """The fingerprint of phi_r when it needs no solve.
 
-    Derived in classify.fingerprint: decomposable forms (r = k), full-rank
+    Derived in fingerprint: decomposable forms (r = k), full-rank
     (n-2)-forms, 2-forms of rank r > 2 (phi_r is symplectic) and stable
-    3-forms of rank 6, 7 or 8.  None for every other form.
+    3-forms of rank 6, 7 or 8.  None for every other form.  ls, phi's
+    LengthSign under any volume, spares a full-rank (n-2)-form a second
+    Pfaffian elimination.
     """
     n, k, r = red.original_n, red.reduced.k, red.r
     if r == k:
         profile = tuple(comb(k, j) for j in range(1, k))
-        return profile, k * k - 1, (k * (k + 1) // 2 - 1, k * (k - 1) // 2, 0)
+        return Fingerprint(profile, k * k - 1, (k * (k + 1) // 2 - 1, k * (k - 1) // 2, 0))
     if r == n and k == n - 2:
         if ls is None:
             ls = length_and_sign(red.reduced, VolumeForm(n))
@@ -514,10 +639,10 @@ def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
             for j in range(1, k)
         )
         killing = (l * (l + 1) + m * (m + 1) // 2, l * l + m * (m - 1) // 2, 2 * l * m)
-        return profile, n * (n + 1) // 2 + m * (m - 1) // 2, killing
+        return Fingerprint(profile, n * (n + 1) // 2 + m * (m - 1) // 2, killing)
     if k == 2:
         l = r // 2
-        return (r,), l * (2 * l + 1), (l * (l + 1), l * l, 0)
+        return Fingerprint((r,), l * (2 * l + 1), (l * (l + 1), l * l, 0))
     if k == 3 and r in (6, 7, 8):
         return _stable_three_form(red.reduced)
     return None
@@ -525,52 +650,230 @@ def _closed_form(red: Reduction, ls: LengthSign | None) -> ClosedForm | None:
 
 def _reduced_stabilizer(
     phi: Form, ls: LengthSign | None = None
-) -> tuple[Reduction | None, StabAlgebra | None, int, ClosedForm | None]:
-    """The stabilizer algebra to solve for phi, the dimension of stab(phi), and phi_r's closed form.
+) -> tuple[Reduction | None, Fingerprint | None, StabAlgebra | None]:
+    """The rank-r reduction of phi, phi_r's closed-form fingerprint, and the algebra solved.
 
-    For phi of rank r >= 1, stab(phi) = (stab(phi_r) + gl(n - r)) x
-    Hom(R^r, R^(n-r)) on the rank-r reduction phi_r (see classify.fingerprint),
-    so this returns (reduce_form(phi), stabilizer_algebra(phi_r),
-    s_r + n(n - r), None) and solves only the r^2-column system.  Four kinds
-    of form solve nothing beyond the degree-1 system of reduce_form
-    (_closed_form); their algebra is None and the fingerprint of phi_r,
-    (profile, s_r, killing), comes last:
-
-    * at r = k, phi_r is a top-degree form, whose stabilizer is sl(k);
-    * a full-rank (n-2)-form has Martinet length l >= 2 (l <= 1 leaves a
-      kernel), read off its dual bivector by length_and_sign.  A caller that
-      already holds phi's LengthSign, under any volume, passes it as ls, and
-      the length is read from it instead;
-    * a 2-form of rank r = 2l > 2 has a symplectic phi_r, whose stabilizer
-      is sp(r);
-    * a 3-form of rank 6 with Hitchin's lambda != 0, of rank 7 with
-      Bryant's B nondegenerate, or of rank 8 with the sextic Q
-      nondegenerate, is stable, and the sign of lambda, the definiteness of
-      B or the inertia of Q names its stabilizer.
-
-    Zero forms and 0-forms return (None, stabilizer_algebra(phi), its
-    dimension, None).
+    One of the last two is None: _closed_form's fingerprint spares the
+    solve, else stab(phi_r) is solved on r^2 columns (see fingerprint).
+    Zero forms and 0-forms have no reduction and solve stab(phi) itself.
     """
     if phi.k < 1 or phi.is_zero:
-        S = stabilizer_algebra(phi)
-        return None, S, S.dim, None
+        return None, None, stabilizer_algebra(phi)
     red = reduce_form(phi)
-    n, r = phi.n, red.r
     closed = _closed_form(red, ls)
     if closed is not None:
-        return red, None, closed[1] + n * (n - r), closed
-    S = stabilizer_algebra(red.reduced)
-    return red, S, S.dim + n * (n - r), None
+        return red, closed, None
+    return red, None, stabilizer_algebra(red.reduced)
 
 
 def orbit_dimension(phi: Form) -> int:
-    """n^2 - dim stab(phi), solved at rank r or in closed form (_reduced_stabilizer)."""
-    return phi.n * phi.n - _reduced_stabilizer(phi)[2]
+    """n^2 - dim stab(phi), which is n*r - s_r at rank r >= 1 (see fingerprint).
+
+    No Killing form is built.
+    """
+    red, closed, S = _reduced_stabilizer(phi)
+    if red is None:
+        return phi.n * phi.n - S.dim
+    return phi.n * red.r - (S.dim if closed is None else closed.stab_dim)
 
 
 def is_stable(phi: Form) -> bool:
     """True when the orbit of phi is open: orbit dimension fills the degree space."""
     return orbit_dimension(phi) == comb(phi.n, phi.k)
+
+
+def fingerprint(phi: Form) -> Fingerprint:
+    """Rank profile, stabilizer dimension and Killing signature of phi.
+
+    A form of rank 0 < r < n is fingerprinted on its rank-r reduction phi_r,
+    with m = n - r.  In a frame whose last m vectors span W = ker phi, A
+    fixes phi exactly when it preserves W and induces an element of
+    stab(phi_r) on R^n/W, so stab(phi) = (stab(phi_r) + gl(m)) x Hom(R^r, R^m):
+    A = [[a, 0], [c, d]] with a in stab(phi_r), c and d free.  Hence:
+
+    * the contraction ranks are those of phi_r;
+    * stab_dim = s_r + n*m;
+    * the Killing signature follows from the Killing form K_r of stab(phi_r).
+      Hom(R^r, R^m) is an abelian ideal, so it lies in the radical of K.  On
+      the rest, K = K_r(a, a') + m tr(aa') + (2m + r) tr(dd') - 2 tr d tr d'
+      - tr d tr a' - tr a tr d', which makes sl(m) orthogonal to everything
+      else with K = (2m + r) tr(dd') there.  On stab(phi_r) + R Id_m the Gram
+      matrix is [[K_r + m T, -m tau], [-m tau^T, r m]], with
+      T(t, u) = tr(X_t X_u) and tau(t) = tr X_t.  A Schur complement on its
+      positive entry r m, scaled by r, leaves
+      killing = inertia(r K_r + r m T - m tau tau^T)
+                + (m(m+1)/2, m(m-1)/2, r m).
+
+    At r = k, phi is decomposable and nothing is solved beyond its rank:
+    phi_r = c e^{1...k} is fixed by A exactly when tr A = 0 and all its
+    contractions are onto, so profile = (C(k,1), ..., C(k,k-1)), stab(phi_r) =
+    sl(k), tau = 0 and K_k = 2k T.  The block is (2k^2 + k m) T, and T is
+    positive on traceless symmetric and negative on antisymmetric matrices:
+    killing = (k(k+1)/2 - 1 + m(m+1)/2, k(k-1)/2 + m(m-1)/2, k m).
+
+    A full-rank (n-2)-form solves nothing beyond its rank either.  Write
+    phi = i_xi vol with xi a bivector of rank 2l, l >= 2 (Martinet's length),
+    and m = n - 2l.  In the convention of infinitesimal_act, A acts on vectors
+    by v -> Av and on vol by -tr A, so A fixes phi exactly when
+    A.xi = tr(A) xi.  In a frame with xi = e_12 + ... + e_{2l-1,2l} on
+    V = R^(2l) and U = R^m last, A = [[a, b], [c, d]] must have c = 0 (xi is
+    nondegenerate on V), and a = a0 + (mu/2) Id with a0 in sp(2l) and
+    mu = tr A, that is tr d = (1 - l) mu.  So stab(phi) = (sp(2l) + gl(m)) x
+    Hom(U, V), with mu read off tr d, and:
+
+    * i_X phi = +-i_{X ^ xi} vol, so r_j is the rank of X -> X ^ xi from
+      degree j to degree j + 2.  It splits by the degree a of the V-factor,
+      where hard Lefschetz makes Lambda^a V -> Lambda^(a+2) V injective for
+      a <= l - 1 and onto for a >= l - 1:
+      r_j = sum_a min(C(2l, a), C(2l, a+2)) C(m, j - a);
+    * stab_dim = l(2l + 1) + m^2 + 2lm = n(n+1)/2 + m(m-1)/2 (at m = 0,
+      tr d = 0 forces mu = 0);
+    * Hom(U, V) is an abelian ideal, so it lies in the radical.  On sp(2l)
+      and on sl(m), K is a positive multiple of the trace form, of inertia
+      (l(l+1), l^2) and (m(m+1)/2 - 1, m(m-1)/2).  For m >= 1 the centre
+      acts on Hom(U, V) by the nonzero scalar mu (n - 2) / (2m), which gives
+      one positive direction, and no cross term survives:
+      killing = (l(l+1) + m(m+1)/2, l^2 + m(m-1)/2, 2lm).
+
+    A 2-form of rank r = 2l > 2 solves nothing beyond its rank either:
+    phi_r is symplectic, so profile = (r,) and stab(phi_r) = sp(r), simple,
+    of dimension l(2l + 1) and Killing inertia (l(l+1), l^2, 0).  On R^r it
+    acts by its defining representation, so tau = 0, T is a positive multiple
+    of K_r, and the lift is that of stable 3-forms below.
+
+    A stable 3-form of rank r = 6 or 7 solves nothing beyond its rank
+    either: one exact invariant of phi_r, built from the 5-forms
+    psi_w = i_{e_w} phi_r ^ phi_r, names its stabilizer.
+
+    * At r = 6, K(e_w) is the vector that poincare_inv dualizes psi_w to,
+      and Hitchin's lambda = tr(K^2) / 6 is a quartic in the coefficients
+      (J. Differential Geom. 55, 2000).  GL(6, R) has two open orbits on
+      Lambda^3, and lambda != 0 on exactly these.  lambda > 0 on
+      e^123 + e^456, fixed by sl(3, R) + sl(3, R), of Killing inertia
+      (10, 6, 0); lambda < 0 on the real part of a complex volume form,
+      fixed by sl(3, C) as a real algebra, of inertia (8, 8, 0).  Both
+      stabilizers have dimension 16 = 36 - 20.
+    * At r = 7, B(v, w) = i_v phi ^ i_w phi ^ phi against e^{1..7} is
+      symmetric, and phi is stable exactly when B is nondegenerate (Bryant,
+      "Some remarks on G2-structures", 2005).  Then stab(phi) is the compact
+      G2 when B is definite, of inertia (0, 14, 0), and the split G2 when it
+      is not, of inertia (8, 6, 0), both of dimension 14 = 49 - 35.
+    * g in GL multiplies tr K^2 by det(g)^-2 and B, up to congruence, by
+      det(g)^-1, so the sign of lambda and the definiteness of B are orbit
+      invariants.  They are taken on phi_r scaled to integers: a scale
+      c > 0 multiplies tr K^2 by c^4 and B by c^3, which moves neither.
+    * A stable form has full rank, so profile = (r, r).  All four
+      stabilizers are semisimple, so tau = 0, and on each simple ideal the
+      trace form T is a positive multiple of K_r (on sl(3, C), T is twice
+      the real part of the complex trace form).  The block r K_r + r m T has
+      the inertia of K_r, and the lift is that of decomposable forms:
+      stab_dim = s_r + n m, killing = K_r's inertia
+      + (m(m+1)/2, m(m-1)/2, r m).
+    * lambda = 0 at rank 6 (an orbit the catalog lacks) and det B = 0 at
+      rank 7 are not stable, and keep the solve.
+
+    A stable 3-form of rank 8 solves nothing beyond its rank either: a
+    sextic invariant Q decides stability and names the orbit.
+
+    * GL(8, R) has three open orbits on Lambda^3 R^8 (Djokovic, Lin.
+      Multilin. Alg. 13, 1983; Hitchin, "Stable forms and special metrics",
+      2001).  Each holds the Cartan form K(X, [Y, Z]) of a real form of
+      sl(3, C) on its 8-dimensional Lie algebra g: sl(3, R), su(2, 1) or
+      su(3).  Its stabilizer is ad(g), of dimension 8 = 64 - 56.
+    * Let M_x[u][z] be the coefficient of e^u ^ i_z phi ^ i_x phi ^ phi on
+      e^{1..8}, so that column z of M_x is the vector poincare_inv dualizes
+      the 7-form i_x phi ^ i_z phi ^ phi to, and set Q(x, y) = tr(M_x M_y).
+      That 7-form is a vector times the volume form, so M_x is an
+      endomorphism times one factor of Lambda^8, and Q is a symmetric
+      bilinear form times two such factors.  g in GL therefore changes Q
+      by a congruence and by det(g)^-2 > 0, and a scale c > 0 of the terms
+      multiplies it by c^6, so Q's inertia is an orbit invariant.
+    * On the Cartan forms (tests/conftest.py), Q has inertia (5, 3, 0) for
+      sl(3, R), (4, 4, 0) for su(2, 1) and (8, 0, 0) for su(3).  These are
+      distinct, so Q names the open orbit, and the Killing signature is that
+      of the real form: (5, 3, 0), (4, 4, 0) and (0, 8, 0).  Q is not the
+      Killing form: on the compact orbit the two have opposite signs, so the
+      map is read off the representatives.
+    * det Q != 0 exactly when phi is stable, so a Q of any other inertia
+      keeps the solve; e^123 + e^456 + e^178, with Q of inertia (1, 0, 7)
+      and stab 23, is one such form.  The proof is over C; G = GL(8, C).
+      1. det Q is a polynomial of degree 48 in the coefficients with
+         det Q(g.phi) = det(g)^-18 det Q(phi): a relative invariant.
+      2. (G, Lambda^3 C^8) is an irreducible prehomogeneous space: the
+         orbit of a Cartan form is open.  G is reductive, and the generic
+         isotropy has Lie algebra ad(sl(3, C)), which is semisimple, so
+         reductive.  So the singular set S, the complement of the open
+         orbit, is a hypersurface (Kimura, Introduction to Prehomogeneous
+         Vector Spaces, AMS 2003, Theorem 2.28: for reductive G, S is a
+         hypersurface if and only if a generic isotropy subgroup is
+         reductive; by Matsushima's criterion the open orbit is affine,
+         and the complement of an affine open set has pure codimension
+         one).  G is connected, so it fixes each component {f_i = 0} of
+         S, and each irreducible f_i is a relative invariant.  A character
+         of G is a power of det, fixed by its value on the scalars, that
+         is by the degree; so f_i^deg(h) / h^deg(f_i), for any relative
+         invariant h, is an absolute invariant, constant on the open orbit
+         and so everywhere.  Hence S is the zero set of one basic relative
+         invariant f, and every relative invariant is c f^m (Kimura,
+         Theorem 2.9; Sato and Kimura, Nagoya Math. J. 65, 1977, list f,
+         of degree 16, with character det^-6, so m = 3, but nothing here
+         uses that).
+      3. c != 0, because the Cartan forms have det Q != 0.
+      4. So det Q(phi) != 0 exactly when phi is off S, that is when its
+         complex orbit is open and stab(phi) has dimension 64 - 56 = 8.
+         The stabilizer system has rational coefficients, so the
+         dimension is the same over C and over R, and the real orbit of
+         phi is one of the three open ones.
+    * Stable means full rank, so profile = (8, 8).  stab(phi_8) = ad(g) is
+      simple and acts on R^8 = g by its adjoint representation, so
+      T(X, Y) = tr(ad X ad Y) = K_8 and tau = 0.  The block r K_r + r m T
+      is 8(1 + m) K_8, and the lift is the one above: stab_dim = 8 + n m,
+      killing = K_8's inertia + (m(m+1)/2, m(m-1)/2, 8 m).
+
+    Other full-rank forms solve phi itself, without a second degree-1 solve
+    for the first rank; zero forms and 0-forms keep the stabilizer of phi.
+    Every solved rank profile stops at j = k/2 (_mirror).
+    Fingerprint(rank_profile(phi), S.dim, killing_signature(S)) with
+    S = stabilizer_algebra(phi) is the generic path, and the tests compare
+    the two.
+    """
+    return _fingerprint(phi)[0]
+
+
+def _fingerprint(
+    phi: Form, ls: LengthSign | None = None
+) -> tuple[Fingerprint, Reduction | None, Fingerprint | None]:
+    """fingerprint(phi), the reduction it used, and phi_r's fingerprint.
+
+    The reduction and phi_r's fingerprint are None for zero forms and
+    0-forms.  ls, phi's LengthSign if the caller holds it, spares
+    _closed_form a second Pfaffian elimination.
+    """
+    red, sub, S = _reduced_stabilizer(phi, ls)
+    if red is None:
+        return Fingerprint(rank_profile(phi), S.dim, killing_signature(S)), None, None
+    n, k, r = phi.n, phi.k, red.r
+    m = n - r
+    if S is not None:
+        ranks = [rank_rows(*_contraction_rows(red.reduced, j)) for j in range(2, k // 2 + 1)]
+        gram, scale = _killing_gram(r, S._flat, S._free)
+        sub = Fingerprint(_mirror([r] + ranks, k), S.dim, inertia_fraction(gram))
+    p, q, z = sub.killing_signature
+    if S is not None and m:
+        flats = S._flat
+        traces = [sum(x[:: r + 1]) for x in flats]
+        transposed = [[y for c in range(r) for y in x[c::r]] for x in flats]
+        sq = scale * scale
+        block = [
+            [
+                r * g + sq * m * (r * sum(map(mul, x, y)) - tx * ty)
+                for g, y, ty in zip(row, transposed, traces)
+            ]
+            for row, x, tx in zip(gram, flats, traces)
+        ]
+        p, q, z = inertia_fraction(block)
+    killing = (p + m * (m + 1) // 2, q + m * (m - 1) // 2, z + r * m)
+    return Fingerprint(sub.rank_profile, sub.stab_dim + n * m, killing), red, sub
 
 
 @dataclass(frozen=True)

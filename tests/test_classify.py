@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import formlab
 from formlab import (
     DegreeError,
     Fingerprint,
@@ -38,11 +39,10 @@ from formlab.classify import (
     _block_swap_reversal,
     _component_count,
     _diagonal_reversal,
-    _killing_gram,
     _martinet_form,
 )
 from formlab.cli import main
-from formlab.invariants import _integer_terms, _sextic_gram
+from formlab.invariants import _integer_terms, _killing_gram, _sextic_gram
 from formlab.linalg import inertia_fraction
 from formlab.sampling import random_form, random_gl, trial_rng
 
@@ -410,6 +410,14 @@ def test_fingerprint_of_zero_forms_and_scalars():
 def test_fingerprint_str():
     fp = fingerprint(literature_form("G2-tilde-7"))
     assert str(fp) == "profile=(7,7) stab=14 killing=(8,6,0)"
+
+
+def test_classify_exports_the_package_objects():
+    # the fingerprint names live in invariants; classify re-exports them
+    # and the package reads them there, so each name is one object
+    classify_module = importlib.import_module("formlab.classify")
+    for name in classify_module.__all__:
+        assert getattr(classify_module, name) is getattr(formlab, name), name
 
 
 # ------------------------------------------------------------------ catalog
@@ -913,13 +921,24 @@ def test_classify_rejects_uncovered_dimension_before_invariants(monkeypatch):
         classify(e(n, 1, 2, 6) - e(n, 2, 3, 4) + e(n, 1, 3, 5))
 
 
+def _forbid_rank_rows(monkeypatch):
+    # the fingerprint takes its contraction ranks through invariants; the
+    # patch must catch a form that still solves a rank past degree 1
+    def no_rank(*args):
+        raise AssertionError("a contraction rank was taken")
+
+    monkeypatch.setattr(importlib.import_module("formlab.invariants"), "rank_rows", no_rank)
+    with pytest.raises(AssertionError, match="a contraction rank was taken"):
+        fingerprint(e(8, 1, 2, 3, 4) + e(8, 5, 6, 7, 8))
+
+
 def test_classify_decomposable_solves_only_its_rank(monkeypatch):
     def no_solve(*args):
         raise AssertionError("a decomposable form solved more than its rank")
 
+    _forbid_rank_rows(monkeypatch)
     invariants = importlib.import_module("formlab.invariants")
     monkeypatch.setattr(invariants, "stabilizer_algebra", no_solve)
-    monkeypatch.setattr(importlib.import_module("formlab.classify"), "rank_rows", no_solve)
     catalog_entries.cache_clear()  # the (k, k) entries must build without a solve too
     moved = act(random_gl(9, trial_rng(63, 0), det_sign=-1), e(9, *range(1, 7)))
     for phi in (e(MAX_DIMENSION, *range(1, MAX_DIMENSION + 1)), moved):
@@ -930,9 +949,9 @@ def test_fingerprint_codim_two_solves_only_its_rank(monkeypatch):
     def no_solve(*args):
         raise AssertionError("a full-rank (n-2)-form solved more than its rank")
 
+    _forbid_rank_rows(monkeypatch)
     invariants = importlib.import_module("formlab.invariants")
     monkeypatch.setattr(invariants, "stabilizer_algebra", no_solve)
-    monkeypatch.setattr(importlib.import_module("formlab.classify"), "rank_rows", no_solve)
     phi = random_form(12, 10, 9, trial_rng(64, 0))
     assert len(phi.terms) > 60
     # l = 6, m = 0: r_j = min(C(12, j), C(12, j + 2)) and stab = sp(12)

@@ -19,6 +19,7 @@ from formlab import (
     act_vectors,
     catalog_entries,
     classify,
+    fingerprint,
     infinitesimal_act,
     interior,
     is_multisymplectic,
@@ -215,6 +216,29 @@ def test_orbit_dimension_matches_stabilizer_on_degenerate_forms():
         want = n * n - stabilizer_algebra(phi).dim
         assert orbit_dimension(phi) == want
         assert is_stable(phi) is (want == comb(n, phi.k))
+
+
+def test_orbit_dimension_builds_no_killing_gram(monkeypatch):
+    # orbit_dimension and is_stable read the stabilizer dimension only: a
+    # solved degenerate form, a solved full-rank form and a zero form
+    forms = [
+        e(9, 1, 2, 3) + e(9, 1, 4, 5) + 3 * e(9, 2, 4, 5),
+        e(8, 1, 2, 3, 4) + e(8, 5, 6, 7, 8),
+        Form.zero(5, 3),
+    ]
+    assert [rank(phi) for phi in forms] == [5, 8, 0]
+    want = [phi.n**2 - stabilizer_algebra(phi).dim for phi in forms]
+
+    def no_gram(*args):
+        raise AssertionError("a Killing Gram was built")
+
+    monkeypatch.setattr(importlib.import_module("formlab.invariants"), "_killing_gram", no_gram)
+    for phi, d in zip(forms, want):
+        assert orbit_dimension(phi) == d
+        assert is_stable(phi) is (d == comb(phi.n, phi.k))
+        # the patch is live: the fingerprint of the same form builds one
+        with pytest.raises(AssertionError, match="a Killing Gram was built"):
+            fingerprint(phi)
 
 
 def test_stabilizer_dimension_is_action_invariant():
@@ -740,7 +764,7 @@ def test_sextic_inertia_is_action_invariant():
 @given(data=st.data())
 def test_sextic_q_is_nondegenerate_exactly_on_stable_forms(data):
     # det Q != 0 exactly when stab(phi_8) has dimension 8 (the proof is in
-    # classify.fingerprint); sparse forms fall on both sides
+    # invariants.fingerprint); sparse forms fall on both sides
     triples = list(combinations(range(1, 9), 3))
     coeffs = st.sampled_from((-2, -1, 1, 2))
     terms = data.draw(st.dictionaries(st.sampled_from(triples), coeffs, min_size=4, max_size=14))
