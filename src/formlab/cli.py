@@ -1,10 +1,14 @@
 """Command line front end.
 
+docio reads every document and matrix the commands take and formats every
+document a text report prints.
+
 Exit codes: 0 on success, 2 when an input document or matrix file cannot be
-parsed, 3 when the request falls outside the supported domain (dimension cap,
-invalid degree, singular matrix, zero volume), 141 when the reader of stdout
-closed it before the report was written (as in `formlab catalog 12 10 |
-true`): the code a shell gives a process that SIGPIPE ends, 128 + 13.
+parsed (ParseError), 3 when the request falls outside the supported domain
+(FormError: dimension cap, invalid degree, singular matrix, zero volume,
+trials and bound limits), 141 when the reader of stdout closed it before the
+report was written (as in `formlab catalog 12 10 | true`): the code a shell
+gives a process that SIGPIPE ends, 128 + 13.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from .classify import (
 from .docio import (
     ParseError,
     element_to_document,
-    format_element,
-    format_rational,
+    format_document,
     parse_document,
+    parse_matrix,
     parse_rational,
 )
 from .exterior import (
@@ -58,10 +62,6 @@ EXIT_PIPE = 141
 MAX_TRIALS = 10**6
 
 
-class DomainError(Exception):
-    """The request is structurally valid but outside supported limits."""
-
-
 def _read_bytes(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -86,14 +86,10 @@ def _load_matrix(path: str, flag: str):
     doc, _ = _load_json(path)
     if isinstance(doc, dict):
         doc = doc.get("matrix")
-    if not isinstance(doc, list) or any(
-        not isinstance(row, list) or len(row) != len(doc) for row in doc
-    ):
+    rows = parse_matrix(doc, flag)
+    if rows is None:
         raise ParseError(f"{flag}: expected a square matrix or an object with 'matrix'")
-    return [
-        [parse_rational(x, f"{flag}[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
-        for i, row in enumerate(doc)
-    ]
+    return rows
 
 
 def _load_element(args: argparse.Namespace):
@@ -111,7 +107,7 @@ def _load_element(args: argparse.Namespace):
     omega = None
     if volume is not None:
         if volume == 0:
-            raise DomainError("volume must be nonzero")
+            raise FormError("volume must be nonzero")
         omega = VolumeForm(element.n, volume)
     mu = None
     if metric_rows is not None:
@@ -140,13 +136,13 @@ def _length_sign_json(ls) -> dict[str, Any] | None:
         return None
     return {
         "length": ls.length,
-        "lambda": None if ls.lam is None else format_rational(ls.lam),
+        "lambda": None if ls.lam is None else str(ls.lam),
         "sign": ls.sign,
     }
 
 
 def _matrix_json(m: LinMap) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in m.entries]
 
 
 def _as_form(element, mu, notes: list[str]) -> Form:
@@ -241,13 +237,13 @@ def cmd_act(args: argparse.Namespace) -> dict[str, Any]:
     # before LinMap, whose determinant costs O(N^3) on an N x N matrix
     n = len(rows)
     if n != element.n:
-        raise DomainError(f"matrix is {n}x{n} but the element lives on R^{element.n}")
+        raise FormError(f"matrix is {n}x{n} but the element lives on R^{element.n}")
     g = LinMap(rows)
     moved = act(g, element) if isinstance(element, Form) else act_vectors(g, element)
     return {
         "command": "act",
         "input": meta,
-        "determinant": format_rational(g.det),
+        "determinant": str(g.det),
         "result": element_to_document(moved),
     }
 
@@ -255,9 +251,9 @@ def cmd_act(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
     _check_coverage(args.n, args.k)
     if not (1 <= args.trials <= MAX_TRIALS):
-        raise DomainError(f"trials must be within 1..{MAX_TRIALS}")
+        raise FormError(f"trials must be within 1..{MAX_TRIALS}")
     if args.bound < 1:
-        raise DomainError("bound must be at least 1")
+        raise FormError("bound must be at least 1")
     hist = sample_orbit_statistics(args.n, args.k, args.trials, args.bound, args.seed)
     rows = sorted(
         ({"fingerprint": str(fp), "count": c} for fp, c in hist.items()),
@@ -336,7 +332,7 @@ def _render_text(report: dict[str, Any]) -> str:
         lines.append(f"components: {'undetermined' if comp is None else comp}")
         lines.append(f"open: {'yes' if report['open'] else 'no'}")
         if report["canonical"] is not None:
-            lines.append(f"canonical: {format_element(parse_document(report['canonical'])[0])}")
+            lines.append(f"canonical: {format_document(report['canonical'])}")
     elif command == "invariants":
         inv = report["invariants"]
         for key in ("rank", "multisymplectic"):
@@ -353,7 +349,7 @@ def _render_text(report: dict[str, Any]) -> str:
             lines.append(f"witness available: {name}")
     elif command == "act":
         lines.append(f"determinant: {report['determinant']}")
-        lines.append(f"result: {format_element(parse_document(report['result'])[0])}")
+        lines.append(f"result: {format_document(report['result'])}")
     elif command == "sample":
         lines.append(
             f"sample: n={report['n']} k={report['k']} trials={report['trials']} bound={report['bound']} seed={report['seed']}"
@@ -366,8 +362,7 @@ def _render_text(report: dict[str, Any]) -> str:
             comp = row["components"]
             comp_text = "?" if comp is None else str(comp)
             lines.append(f"  {row['name']} [{row['provenance']}] components={comp_text}")
-            rep = parse_document(row["representative"])[0]
-            lines.append(f"    representative: {format_element(rep)}")
+            lines.append(f"    representative: {format_document(row['representative'])}")
     for note in report.get("notes", []):
         lines.append(f"note: {note}")
     return "\n".join(lines)
@@ -469,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, FormError) as exc:
+    except FormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if args.format == "structured":

@@ -7,6 +7,10 @@ holding a strictly integer multi-index "idx" plus an integer numerator
 normalized with the alternating sign; repeated index sets are summed.
 Optional "volume" (nonzero rational) and "metric" (n x n rational matrix)
 ride along untouched and are interpreted by the caller.
+
+This module reads every matrix the command line takes (parse_matrix: a
+document's metric, --metric and --matrix) and formats every document a text
+report prints (format_document).
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from .exterior import Form, FormError, MultiIndex, Polyvector, normalize_index
 __all__ = [
     "ParseError",
     "parse_rational",
+    "parse_matrix",
     "parse_document",
     "element_to_document",
-    "format_rational",
-    "format_element",
+    "format_document",
 ]
 
 
@@ -41,6 +45,17 @@ def parse_rational(value: Any, where: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: not a rational: {value!r}") from exc
     raise ParseError(f"{where}: expected an integer or 'p/q' string")
+
+
+def parse_matrix(raw: Any, where: str) -> list[list[Fraction]] | None:
+    """The rational rows of a square list of lists, or None when raw is not one;
+    a bad entry raises ParseError at where[i][j], counted from 1."""
+    if not isinstance(raw, list) or any(not isinstance(row, list) or len(row) != len(raw) for row in raw):
+        return None
+    return [
+        [parse_rational(x, f"{where}[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
+        for i, row in enumerate(raw)
+    ]
 
 
 def _require_int(value: Any, where: str) -> int:
@@ -100,19 +115,11 @@ def parse_document(doc: Any) -> tuple[Form | Polyvector, Fraction | None, list[l
     metric = None
     if "metric" in doc:
         raw = doc["metric"]
-        if not isinstance(raw, list) or len(raw) != n or any(
-            not isinstance(row, list) or len(row) != n for row in raw
-        ):
+        if isinstance(raw, list) and len(raw) == n:
+            metric = parse_matrix(raw, "metric")
+        if metric is None:
             raise ParseError(f"field 'metric' must be an {n}x{n} matrix")
-        metric = [
-            [parse_rational(x, f"metric[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
-            for i, row in enumerate(raw)
-        ]
     return element, volume, metric
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def element_to_document(x: Form | Polyvector) -> dict[str, Any]:
@@ -127,12 +134,13 @@ def element_to_document(x: Form | Polyvector) -> dict[str, Any]:
     }
 
 
-def format_element(x: Form | Polyvector) -> str:
-    if x.is_zero:
-        return "0"
-    base = "e" if isinstance(x, Form) else "v"
+def format_document(doc: dict[str, Any]) -> str:
+    """One line for a document written by element_to_document: "0", or its
+    terms as c*e[i,...] (c*v[i,...] for a vector, c*1 for a scalar)."""
+    base = "e" if doc["variance"] == "form" else "v"
     parts = []
-    for idx, c in x.items():
+    for term in doc["terms"]:
+        idx = term["idx"]
         label = f"{base}[{','.join(map(str, idx))}]" if idx else "1"
-        parts.append(f"{format_rational(c)}*{label}")
-    return " + ".join(parts).replace("+ -", "- ")
+        parts.append(f"{Fraction(term['num'], term['den'])}*{label}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"

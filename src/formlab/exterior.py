@@ -4,6 +4,11 @@ Alternating tensors of degree k on R^n are stored as finite maps from strictly
 increasing 1-based multi-indices to nonzero rationals.  Form is covariant
 (basis e^{i1...ik}), Polyvector is contravariant (basis e_{i1...ik}).
 
+The value types Form, Polyvector, LinMap, VolumeForm and InnerProduct are
+frozen dataclasses that keep their own __slots__, validating __init__ and
+__repr__; assigning any attribute raises AttributeError.  InnerProduct
+compares by identity, the others by value.
+
 Conventions, fixed once and used everywhere:
 
 * The interior product contracts the first slot:
@@ -41,6 +46,7 @@ All arithmetic is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -179,10 +185,16 @@ def _clean_terms(
     return out
 
 
+# Not slots=True: the class it rebuilds is not the one the generated
+# __setattr__ refers to, so assigning a name that is no field raises TypeError.
+@dataclass(frozen=True, init=False, repr=False)
 class _Alternating:
     """Shared storage and linear structure of Form and Polyvector."""
 
-    __slots__ = ("n", "k", "terms", "_hash")
+    __slots__ = ("n", "k", "terms")
+    n: int
+    k: int
+    terms: Mapping[MultiIndex, Fraction]
 
     def __init__(
         self,
@@ -198,10 +210,6 @@ class _Alternating:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", MappingProxyType(cleaned))
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _from_clean(cls, n: int, k: int, terms: dict[MultiIndex, Fraction]):
@@ -265,20 +273,9 @@ class _Alternating:
     def __truediv__(self, c):
         return self.scaled(Fraction(1) / as_fraction(c))
 
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and other.n == self.n
-            and other.k == self.k
-            and other.terms == self.terms
-        )
-
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((type(self).__name__, self.n, self.k, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # terms is a mappingproxy, which does not hash
+        return hash((type(self).__name__, self.n, self.k, frozenset(self.terms.items())))
 
     def _basis_symbol(self) -> str:
         raise NotImplementedError
@@ -326,6 +323,7 @@ class Polyvector(_Alternating):
         return out
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class LinMap:
     """Square rational matrix with a cached determinant.
 
@@ -336,6 +334,10 @@ class LinMap:
     """
 
     __slots__ = ("n", "rows", "den", "det")
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+    det: Fraction
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
         n = len(entries)
@@ -347,9 +349,6 @@ class LinMap:
         object.__setattr__(self, "rows", tuple([tuple(row) for row in rows]))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "det", det_fraction(rows) / den**n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinMap is immutable")
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -402,12 +401,6 @@ class LinMap:
         coords = v.coords()
         return Polyvector.from_coords([sum(map(mul, row, coords)) / self.den for row in self.rows])
 
-    def __eq__(self, other):
-        return isinstance(other, LinMap) and (other.rows, other.den) == (self.rows, self.den)
-
-    def __hash__(self):
-        return hash((self.rows, self.den))
-
     def __repr__(self):
         return f"LinMap({[[str(x) for x in row] for row in self.entries]})"
 
@@ -423,10 +416,13 @@ def _inverse_over_divisor(m) -> tuple[list[list[int]], int]:
     return [[m.den * x for x in row] for row in X], d
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class VolumeForm:
     """A nonzero multiple of e^{1...n}; the reference volume for duality."""
 
     __slots__ = ("n", "scale")
+    n: int
+    scale: Fraction
 
     def __init__(self, n: int, scale: Scalar = 1):
         scale = as_fraction(scale)
@@ -435,26 +431,25 @@ class VolumeForm:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "scale", scale)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VolumeForm is immutable")
-
     def as_form(self) -> Form:
         return Form(self.n, self.n, {tuple(range(1, self.n + 1)): self.scale})
-
-    def __eq__(self, other):
-        return isinstance(other, VolumeForm) and (other.n, other.scale) == (self.n, self.scale)
 
     def __repr__(self):
         return f"VolumeForm({self.n}, {self.scale})"
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class InnerProduct:
     """Symmetric positive-definite rational matrix; checked on construction.
 
     Stored as int rows over den, as in LinMap; matrix is built when read.
+    Compared by identity.
     """
 
     __slots__ = ("n", "rows", "den")
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]]):
         n = len(matrix)
@@ -471,9 +466,6 @@ class InnerProduct:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InnerProduct is immutable")
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -491,10 +492,29 @@ def test_text_reports_frozen(tmp_path, capsys):
         "k": 2,
         "terms": [{"idx": [1, 2], "num": 3, "den": 2}, {"idx": [2, 3], "num": -1}],
     }
+    # G2 on R^8 scaled by 3/2: degenerate, so classify prints the catalog
+    # representative as its canonical form
+    degenerate = {"n": 8, "k": 3, "terms": [{**t, "num": 3 * t["num"], "den": 2} for t in G2_DOC["terms"]]}
     vpath = write_doc(tmp_path, vec, "vec.json")
     fpath = write_doc(tmp_path, form, "form.json")
+    dpath = write_doc(tmp_path, degenerate, "degenerate.json")
+    moved = {"n": 3, "k": 1, "variance": "vector", "terms": [{"idx": [1], "num": 2}, {"idx": [3], "num": -1, "den": 3}]}
+    mpath = write_doc(tmp_path, moved, "moved.json")
     mat = write_doc(tmp_path, {"matrix": [[1, 1, 0], [0, 1, 0], [2, 0, 1]]}, "g.json")
     expected = {
+        ("classify", dpath): [
+            "input: n=8 k=3 variance=form sha256=e75b178d04785422",
+            "verdict: exact rank7:catalog:G2-tilde-7",
+            "rank: 7",
+            "fingerprint: profile=(7, 7) stab=22 killing=(9, 6, 7)",
+            "components: 1",
+            "open: no",
+            "canonical: 1*e[1,2,3] + 1*e[1,4,5] + 1*e[1,6,7] + 1*e[2,4,6] - 1*e[2,5,7]"
+            " + 1*e[3,4,7] + 1*e[3,5,6]",
+            "note: classified through the rank-7 reduction",
+            "note: stabilizer algebra is the split exceptional 14-dimensional simple algebra",
+            "note: matched catalog entry [literature]",
+        ],
         ("invariants", vpath): [
             "input: n=5 k=3 variance=vector sha256=417a30c8baeb831d",
             "rank: 3",
@@ -511,6 +531,18 @@ def test_text_reports_frozen(tmp_path, capsys):
             "input: n=3 k=2 variance=form sha256=a5fbf16c678fd119",
             "determinant: 1",
             "result: -1/2*e[1,2] - 1*e[2,3]",
+        ],
+        ("act", mpath, "--matrix", mat): [
+            "input: n=3 k=1 variance=vector sha256=ccb4f7ab6ffadd68",
+            "determinant: 1",
+            "result: 2*v[1] + 11/3*v[3]",
+        ],
+        ("catalog", "3", "1"): [
+            "catalog: n=3 k=1 entries=2",
+            "  martinet-l0-s0 [literature] components=1",
+            "    representative: 0",
+            "  martinet-l1-s+1 [literature] components=1",
+            "    representative: 1*e[3]",
         ],
         ("catalog", "6", "3"): [
             "catalog: n=6 k=3 entries=3",
@@ -530,6 +562,48 @@ def test_text_reports_frozen(tmp_path, capsys):
         code, out, err = run(capsys, list(argv))
         assert code == 0 and err == ""
         assert out == "\n".join(lines) + "\n"
+
+
+# sha256 over the exit code, stdout and stderr of each `--format structured`
+# call of test_structured_reports_frozen, in order: it pins every key of the
+# classify, invariants, act and sample reports and two error exits.
+STRUCTURED_REPORTS_SHA256 = "966ba545512bf6cd26c96540edf7f5901a06ab099917cd7e73c87253c1eb969b"
+
+
+def test_structured_reports_frozen(tmp_path, capsys):
+    def doc(n, k, terms, variance="form", **extra):
+        x = (Form if variance == "form" else Polyvector)(n, k, terms)
+        return write_doc(tmp_path, {**element_to_document(x), **extra}, f"{len(list(tmp_path.iterdir()))}.json")
+
+    metric6 = [[2 if i == j else int(abs(i - j) == 1) for j in range(6)] for i in range(6)]
+    g = [[Fraction(1 + (i + j) % 3, 1 + i) if i <= j else Fraction(j - i, 2) for j in range(5)] for i in range(5)]
+    gpath = write_doc(tmp_path, [[str(x) for x in row] for row in g], "g.json")
+    g2 = {tuple(t["idx"]): t["num"] for t in G2_DOC["terms"]}
+    codim = {idx: 1 + sum(idx) % 3 for idx in combinations(range(1, 9), 6) if sum(idx) % 4}
+    five = {idx: (-1) ** sum(idx) * (1 + len(set(idx) & {1, 4})) for idx in combinations(range(1, 8), 5)}
+    calls = [
+        ["classify", write_doc(tmp_path, G2_DOC, "g2.json")],
+        # degenerate, moved by g: rank 7, canonical G2-tilde on R^9
+        ["classify", doc(9, 3, act(random_gl(9, trial_rng(5, 9)), Form(9, 3, g2)).terms)],
+        ["classify", doc(8, 6, codim), "--volume=-2/3"],
+        ["classify", doc(6, 2, {(1, 2): 1, (3, 4): -2, (2, 5): 3}, "vector", metric=metric6)],
+        # rank 4 < 6: both witnesses
+        ["invariants", doc(6, 2, {(1, 2): 1, (3, 4): Fraction(1, 2)}, "vector", metric=metric6)],
+        ["invariants", doc(7, 5, five, volume="3/2")],
+        ["invariants", doc(6, 3, {})],
+        ["invariants", doc(3, 0, {(): Fraction(-5, 3)})],
+        ["act", doc(5, 3, {(1, 2, 3): 1, (2, 4, 5): Fraction(-3, 2)}), "--matrix", gpath],
+        ["act", doc(5, 2, {(1, 2): 2, (3, 5): Fraction(1, 3)}, "vector"), "--matrix", gpath],
+        ["sample", "5", "2", "--trials", "7", "--seed", "3"],
+        # exit 3 over the dimension cap, exit 2 on a repeated index
+        ["classify", doc(13, 2, {(1, 2): 1})],
+        ["classify", write_doc(tmp_path, {"n": 4, "k": 2, "terms": [{"idx": [2, 2], "num": 1}]}, "rep.json")],
+    ]
+    digest = hashlib.sha256()
+    for argv in calls:
+        code, out, err = run(capsys, argv + ["--format", "structured"])
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == STRUCTURED_REPORTS_SHA256
 
 
 # help, usage and error cases of the command line: every -h form, no

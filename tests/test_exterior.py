@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import formlab
 from formlab import (
     DegreeError,
     DimensionMismatch,
@@ -139,6 +141,45 @@ def test_terms_are_immutable():
         f.terms[(1, 3)] = Fraction(1)
     with pytest.raises(AttributeError):
         f.n = 5
+
+
+def test_value_types_are_frozen_dataclasses():
+    # formlab's own classes, less its exceptions (Rat is fractions.Fraction)
+    exported = [getattr(formlab, name) for name in formlab.__all__]
+    value_types = {
+        c.__name__
+        for c in exported
+        if isinstance(c, type) and c.__module__.startswith("formlab.") and not issubclass(c, Exception)
+    }
+    assert value_types == {
+        "Form", "Polyvector", "LinMap", "VolumeForm", "InnerProduct", "Reduction", "StabAlgebra",
+        "LengthSign", "NilpotencyWitness", "Fingerprint", "CatalogEntry", "OrbitReport",
+    }
+    for name in value_types:
+        cls = getattr(formlab, name)
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, name
+    # a field and a name that is no field: a dataclass rebuilt by slots=True
+    # raises TypeError on the second
+    for x in (
+        Form.basis(3, (1, 2)),
+        Polyvector.basis(3, (1,)),
+        LinMap.identity(2),
+        VolumeForm(2, 3),
+        InnerProduct.identity(2),
+    ):
+        for name in ("n", "foo"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 5)
+        with pytest.raises(AttributeError):
+            del x.n
+
+
+def test_volume_forms_hash_by_value_and_inner_products_compare_by_identity():
+    assert VolumeForm(3, 2) == VolumeForm(3, Fraction(4, 2))
+    assert hash(VolumeForm(3, 2)) == hash(VolumeForm(3, Fraction(4, 2)))
+    assert VolumeForm(3, 2) != VolumeForm(3, -2) and VolumeForm(3) != VolumeForm(4)
+    mu = InnerProduct([[2, 1], [1, 2]])
+    assert mu == mu and mu != InnerProduct([[2, 1], [1, 2]])
 
 
 def test_arithmetic_and_zero_pruning():
