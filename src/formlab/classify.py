@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -87,21 +86,17 @@ class CatalogEntry:
     components: int | None
 
 
-def _pair_form(n: int, pairs: int) -> Form:
-    return Form(n, 2, {(2 * i - 1, 2 * i): Fraction(1) for i in range(1, pairs + 1)})
-
-
 def _martinet_form(n: int, l: int, coeff: int) -> Form:
     full = range(1, n + 1)
     terms = {}
     for i in range(1, l + 1):
         comp = tuple([j for j in full if j not in (2 * i - 1, 2 * i)])
-        terms[comp] = Fraction(coeff)
+        terms[comp] = coeff
     return Form(n, n - 2, terms)
 
 
 def _block_form(n: int, k: int, blocks: int) -> Form:
-    terms = {tuple(range(j * k + 1, (j + 1) * k + 1)): Fraction(1) for j in range(blocks)}
+    terms = {tuple(range(j * k + 1, (j + 1) * k + 1)): 1 for j in range(blocks)}
     return Form(n, k, terms)
 
 
@@ -126,7 +121,7 @@ def _diagonal_reversal(phi: Form) -> bool:
             x ^= pivots[x.bit_length()]
         return x
 
-    for idx in phi.terms:
+    for idx in phi.nums:
         x = reduce(_mask(idx))
         pivots[x.bit_length()] = x
     return reduce((1 << phi.n) - 1) != 0
@@ -143,9 +138,9 @@ def _block_swap_reversal(phi: Form) -> bool:
     if 2 * k > n or k % 2 == 0:
         return False
     perm = [0, *range(k + 1, 2 * k + 1), *range(1, k + 1), *range(2 * k + 1, n + 1)]
-    for idx, c in phi.terms.items():
+    for idx, c in phi.nums.items():
         image, sign = normalize_index([perm[i] for i in idx])
-        if phi.terms.get(image) != sign * c:
+        if phi.nums.get(image) != sign * c:
             return False
     return True
 
@@ -243,7 +238,7 @@ def _catalog_rows(n: int, k: int) -> Iterator[tuple[str, Form, str, str]]:
     if k == 2:
         for r in range(0, 2 * (n // 2) + 1, 2):
             note = "rank is a complete invariant; stabilizer is symplectic-type on the support"
-            yield f"two-form-rank-{r}", _pair_form(n, r // 2), note, "literature"
+            yield f"two-form-rank-{r}", _block_form(n, 2, r // 2), note, "literature"
     elif k == n - 2:
         yield "martinet-l0-s0", Form(n, k), "zero form", "literature"
         for l in range(1, n // 2 + 1):
@@ -332,7 +327,7 @@ def classify_two_form(phi: Form) -> OrbitReport:
         n=n,
         k=2,
         rank=r,
-        canonical=_pair_form(n, r // 2),
+        canonical=_block_form(n, 2, r // 2),
         components=2 if r == n else 1,
         open=r == 2 * (n // 2),
         notes=("rank is a complete invariant for 2-forms",),

@@ -16,6 +16,7 @@ report prints (format_document).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .exterior import Form, FormError, MultiIndex, Polyvector, normalize_index
@@ -80,7 +81,7 @@ def parse_document(doc: Any) -> tuple[Form | Polyvector, Fraction | None, list[l
     raw_terms = doc.get("terms", [])
     if not isinstance(raw_terms, list):
         raise ParseError("field 'terms' must be a list")
-    pairs: list[tuple[MultiIndex, Fraction]] = []
+    pairs: list[tuple[MultiIndex, int | Fraction]] = []
     for pos, term in enumerate(raw_terms, start=1):
         where = f"term {pos}"
         if not isinstance(term, dict):
@@ -102,7 +103,7 @@ def parse_document(doc: Any) -> tuple[Form | Polyvector, Fraction | None, list[l
         den = _require_int(term.get("den", 1), f"{where}: 'den'")
         if den <= 0:
             raise ParseError(f"{where}: 'den' must be a positive integer")
-        pairs.append((sorted_idx, Fraction(sign * num, den)))
+        pairs.append((sorted_idx, sign * num if den == 1 else Fraction(sign * num, den)))
     cls = Form if variance == "form" else Polyvector
     try:
         # the constructor sums repeated index sets and drops zeros
@@ -128,8 +129,8 @@ def element_to_document(x: Form | Polyvector) -> dict[str, Any]:
         "k": x.k,
         "variance": "form" if isinstance(x, Form) else "vector",
         "terms": [
-            {"idx": list(idx), "num": c.numerator, "den": c.denominator}
-            for idx, c in x.items()
+            {"idx": list(idx), "num": c // (g := gcd(c, x.den)), "den": x.den // g}
+            for idx, c in sorted(x.nums.items())
         ],
     }
 

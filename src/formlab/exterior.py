@@ -1,8 +1,12 @@
 """Sparse exterior algebra over exact rationals.
 
-Alternating tensors of degree k on R^n are stored as finite maps from strictly
+Alternating tensors of degree k on R^n are finite maps from strictly
 increasing 1-based multi-indices to nonzero rationals.  Form is covariant
-(basis e^{i1...ik}), Polyvector is contravariant (basis e_{i1...ik}).
+(basis e^{i1...ik}), Polyvector is contravariant (basis e_{i1...ik}).  Each
+is stored as nonzero int numerators, nums, over one divisor, den, the least
+positive integer that clears every denominator, so equal tensors store
+equal (nums, den).  terms is their Fraction view, built anew on each read:
+a loop reads it once, or reads nums.
 
 The value types Form, Polyvector, LinMap, VolumeForm and InnerProduct are
 frozen dataclasses that keep their own __slots__, validating __init__ and
@@ -32,13 +36,13 @@ invariants, classify and sampling import them:
   by the parity of the indices above it.
 
 LinMap and InnerProduct store their matrix as integer rows over one
-divisor, and every action is one substitution kernel, _substitute, which
-replaces each basis covector by a row of the matrix.  It runs on Python
-ints: the rows come as stored, or g inverse straight from its Bareiss pass
-(linalg._inverse_int), and each output coefficient is divided once at the
-end.  Its output is clean, so the actions wrap it unvalidated.  It removes
-the old indices level by level, last slot first, so inserting j among the m
-other slots at position p gives the sign (-1)^(m - p), read from a table of
+divisor too, and every action is one substitution kernel, _substitute,
+which replaces each basis covector by a row of the matrix.  It runs on
+Python ints: the tensor and the rows come as stored, or g inverse straight
+from its Bareiss pass (linalg._inverse_int), and its ints over one divisor
+are reduced by one gcd (_from_clean), unvalidated.  It removes the old
+indices level by level, last slot first, so inserting j among the m other
+slots at position p gives the sign (-1)^(m - p), read from a table of
 subsets per n that is filled as pairs are met (see _INSERTS).
 
 All arithmetic is exact; nothing here ever rounds.
@@ -49,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -158,10 +162,10 @@ def contract_sign(outer: MultiIndex, inner: MultiIndex) -> tuple[MultiIndex, int
 
 def _clean_terms(
     n: int, k: int, terms: Mapping[MultiIndex, Scalar] | Iterable[tuple[MultiIndex, Scalar]]
-) -> dict[MultiIndex, Fraction]:
-    """Validated terms as a dict; repeated indices are summed and zeros dropped."""
+) -> dict[MultiIndex, Scalar]:
+    """Validated terms as a dict: repeated indices summed, zeros dropped, ints kept as ints."""
     items = terms.items() if isinstance(terms, Mapping) else terms
-    out: dict[MultiIndex, Fraction] = {}
+    out: dict[MultiIndex, Scalar] = {}
     for idx, c in items:
         idx = tuple(idx)
         if len(idx) != k:
@@ -171,7 +175,8 @@ def _clean_terms(
             if not isinstance(i, int) or i <= prev or i > n:
                 raise FormError(f"index {idx} is not strictly increasing within 1..{n}")
             prev = i
-        c = as_fraction(c)
+        if type(c) is not int:
+            c = as_fraction(c)
         if c:
             acc = out.get(idx)
             if acc is None:
@@ -189,12 +194,16 @@ def _clean_terms(
 # __setattr__ refers to, so assigning a name that is no field raises TypeError.
 @dataclass(frozen=True, init=False, repr=False)
 class _Alternating:
-    """Shared storage and linear structure of Form and Polyvector."""
+    """Shared storage and linear structure of Form and Polyvector.
 
-    __slots__ = ("n", "k", "terms")
+    Stored as int nums over den, as LinMap stores rows; terms is built when read.
+    """
+
+    __slots__ = ("n", "k", "nums", "den")
     n: int
     k: int
-    terms: Mapping[MultiIndex, Fraction]
+    nums: Mapping[MultiIndex, int]
+    den: int
 
     def __init__(
         self,
@@ -207,16 +216,27 @@ class _Alternating:
         # Degrees above n only house the zero tensor (the wedge truncation
         # rule can produce them): _clean_terms rejects every index there.
         cleaned = _clean_terms(n, k, terms)
+        den = lcm(*{c.denominator for c in cleaned.values()})
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", MappingProxyType(cleaned))
+        nums = {i: c.numerator * (den // c.denominator) for i, c in cleaned.items()}
+        object.__setattr__(self, "nums", MappingProxyType(nums))
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _from_clean(cls, n: int, k: int, terms: dict[MultiIndex, Fraction]):
-        """Wrap terms as _clean_terms leaves them, unchecked: _substitute's output."""
+    def _from_clean(cls, n: int, k: int, nums: dict[MultiIndex, int], d: int):
+        """Wrap nonzero ints at valid indices over any d != 0, reduced by one gcd, unchecked."""
+        g = gcd(d, *nums.values()) * (-1 if d < 0 else 1)
+        if g != 1:
+            nums = {i: c // g for i, c in nums.items()}
         self = cls(n, k)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
+        object.__setattr__(self, "nums", MappingProxyType(nums))
+        object.__setattr__(self, "den", d // g)
         return self
+
+    @property
+    def terms(self) -> Mapping[MultiIndex, Fraction]:
+        return MappingProxyType({i: Fraction(c, self.den) for i, c in self.nums.items()})
 
     @classmethod
     def zero(cls, n: int, k: int):
@@ -233,10 +253,10 @@ class _Alternating:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coeff(self, idx: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(idx), Fraction(0))
+        return Fraction(self.nums.get(tuple(idx), 0), self.den)
 
     def items(self) -> list[tuple[MultiIndex, Fraction]]:
         return sorted(self.terms.items())
@@ -257,7 +277,7 @@ class _Alternating:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.n, self.k, {i: -c for i, c in self.terms.items()})
+        return self._from_clean(self.n, self.k, dict(self.nums), -self.den)
 
     def scaled(self, c: Scalar):
         c = as_fraction(c)
@@ -274,14 +294,17 @@ class _Alternating:
         return self.scaled(Fraction(1) / as_fraction(c))
 
     def __hash__(self):
-        # terms is a mappingproxy, which does not hash
-        return hash((type(self).__name__, self.n, self.k, frozenset(self.terms.items())))
+        # nums is a mappingproxy, which does not hash
+        return hash((type(self).__name__, self.n, self.k, frozenset(self.nums.items()), self.den))
+
+    def __reduce__(self):
+        return type(self), (self.n, self.k, dict(self.terms))
 
     def _basis_symbol(self) -> str:
         raise NotImplementedError
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return f"{type(self).__name__}({self.n}, {self.k}, 0)"
         sym = self._basis_symbol()
         parts = []
@@ -317,10 +340,7 @@ class Polyvector(_Alternating):
     def coords(self) -> list[Fraction]:
         if self.k != 1:
             raise DegreeError("coords() needs a degree-1 vector")
-        out = [Fraction(0)] * self.n
-        for (i,), c in self.terms.items():
-            out[i - 1] = c
-        return out
+        return [self.coeff((i,)) for i in range(1, self.n + 1)]
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -401,6 +421,9 @@ class LinMap:
         coords = v.coords()
         return Polyvector.from_coords([sum(map(mul, row, coords)) / self.den for row in self.rows])
 
+    def __reduce__(self):
+        return LinMap, (self.entries,)
+
     def __repr__(self):
         return f"LinMap({[[str(x) for x in row] for row in self.entries]})"
 
@@ -433,6 +456,9 @@ class VolumeForm:
 
     def as_form(self) -> Form:
         return Form(self.n, self.n, {tuple(range(1, self.n + 1)): self.scale})
+
+    def __reduce__(self):
+        return VolumeForm, (self.n, self.scale)
 
     def __repr__(self):
         return f"VolumeForm({self.n}, {self.scale})"
@@ -479,6 +505,9 @@ class InnerProduct:
     def is_identity(self) -> bool:
         return self.den == 1 and self.rows == LinMap.identity(self.n).rows
 
+    def __reduce__(self):
+        return InnerProduct, (self.matrix,)
+
     def __repr__(self):
         return f"InnerProduct({[[str(x) for x in row] for row in self.matrix]})"
 
@@ -498,8 +527,9 @@ def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
     if k > a.n:
         return type(a)(a.n, k)
     out: list[tuple[MultiIndex, Fraction]] = []
+    b_terms = b.terms.items()
     for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
+        for ib, cb in b_terms:
             merged = normalize_index(ia + ib)
             if merged is not None:
                 idx, sign = merged
@@ -529,8 +559,9 @@ def multi_interior(X: Polyvector, phi: Form) -> Form:
     if X.k > phi.k:
         raise DegreeError(f"cannot contract degree {X.k} into degree {phi.k}")
     out: list[tuple[MultiIndex, Fraction]] = []
+    phi_terms = phi.terms.items()
     for jdx, xc in X.terms.items():
-        for idx, c in phi.terms.items():
+        for idx, c in phi_terms:
             hit = contract_sign(idx, jdx)
             if hit is not None:
                 rest, sign = hit
@@ -572,19 +603,19 @@ def _inserted(s: int, j: int) -> int:
     return -(s | bit) if (s >> j).bit_count() % 2 else s | bit
 
 
-def _substitute(terms, int_rows, d: int, n: int) -> dict[MultiIndex, Fraction]:
-    """Replace every e^i by sum_j int_rows[i-1][j-1] / d e^j in a sparse tensor.
+def _substitute(t: _Alternating, int_rows, d: int) -> tuple[dict[MultiIndex, int], int]:
+    """Replace every e^i by sum_j int_rows[i-1][j-1] / d e^j in t: (nums, div).
 
-    The work runs on Python ints: the rows share one divisor d != 0 and the
-    coefficients are scaled by the lcm D of their denominators, so every
-    output term of degree k carries the factor D * d^k, divided out once at
-    the end into a nonzero Fraction at an ascending k-tuple within 1..n.
+    The work runs on Python ints: the rows share one divisor d != 0 and t
+    is read as stored, nums over den, so every output term of degree k
+    carries the factor den * d^k.  The result is nonzero ints at ascending
+    k-tuples within 1..n over div, for _from_clean to reduce.
 
     The old indices are removed level by level.  Level L holds the terms
     that still have L old indices, as T -> {S: coefficient}: T is the tuple
     of old indices left and S the bitmask of the new indices inserted so far
     (see _INSERTS).  Level k is the input, with every S empty.  Replacing
-    the last old index t of T by row t sends c at (T, S) to +-c * x at
+    the last old index i of T by row i sends c at (T, S) to +-c * x at
     (T[:-1], S + {j}) for each nonzero x = row[j] with j not in S.  In the
     slots S, T the replaced one is the last, so inserting j at position
     p = #{s in S : s < j} of the other m = |S| + |T| - 1 slots gives the
@@ -592,17 +623,16 @@ def _substitute(terms, int_rows, d: int, n: int) -> dict[MultiIndex, Fraction]:
     table holds the first factor.  The second is the same for every term of
     a level, so over the k levels it is (-1)^(k(k-1)/2) for every term,
     folded into the divisor.  After k levels T is empty, and each S becomes
-    its tuple once, at the division.
+    its tuple once.
     """
-    if not terms:
-        return {}
+    if not t.nums:
+        return {}, 1
     # Tuples here are built from slices and lists, not generators: a tuple
     # grown from a generator is freed into the interpreter's free list of
     # another size, which fills up and holds memory on integer workloads,
     # where the cyclic collector that would empty it seldom runs.
-    D = lcm(*{c.denominator for c in terms.values()})
-    level = {idx: {0: c.numerator * (D // c.denominator)} for idx, c in terms.items()}
-    k = len(next(iter(terms)))
+    n, k = t.n, t.k
+    level = {idx: {0: c} for idx, c in t.nums.items()}
     nonzero = [[(j, x) for j, x in enumerate(row, 1) if x] for row in int_rows]
     table = _INSERTS.setdefault(n, {})
     for _ in range(k):
@@ -630,7 +660,7 @@ def _substitute(terms, int_rows, d: int, n: int) -> dict[MultiIndex, Fraction]:
                     elif v:
                         acc[-v] = acc.get(-v, 0) - c * x
         level = below
-    div = D * d**k
+    div = t.den * d**k
     if k * (k - 1) // 2 % 2:
         div = -div
     out = {}
@@ -639,8 +669,8 @@ def _substitute(terms, int_rows, d: int, n: int) -> dict[MultiIndex, Fraction]:
             idx = _TUPLES.get(s)
             if idx is None:
                 idx = _TUPLES[s] = _index(s)
-            out[idx] = Fraction(c, div)
-    return out
+            out[idx] = c
+    return out, div
 
 
 def act(g: LinMap, phi: Form) -> Form:
@@ -651,7 +681,7 @@ def act(g: LinMap, phi: Form) -> Form:
         raise DimensionMismatch(f"dimension {g.n} != {phi.n}")
     if not g.det:
         raise SingularMatrix("group element must be invertible")
-    return Form._from_clean(phi.n, phi.k, _substitute(phi.terms, *_inverse_over_divisor(g), phi.n))
+    return Form._from_clean(phi.n, phi.k, *_substitute(phi, *_inverse_over_divisor(g)))
 
 
 def pullback(m: LinMap, phi: Form) -> Form:
@@ -660,7 +690,7 @@ def pullback(m: LinMap, phi: Form) -> Form:
         raise TypeError("pullback needs a Form")
     if m.n != phi.n:
         raise DimensionMismatch(f"dimension {m.n} != {phi.n}")
-    return Form._from_clean(phi.n, phi.k, _substitute(phi.terms, m.rows, m.den, phi.n))
+    return Form._from_clean(phi.n, phi.k, *_substitute(phi, m.rows, m.den))
 
 
 def act_vectors(g: LinMap, x: Polyvector) -> Polyvector:
@@ -672,7 +702,7 @@ def act_vectors(g: LinMap, x: Polyvector) -> Polyvector:
     if not g.det:
         raise SingularMatrix("group element must be invertible")
     cols = list(zip(*g.rows))
-    return Polyvector._from_clean(x.n, x.k, _substitute(x.terms, cols, g.den, x.n))
+    return Polyvector._from_clean(x.n, x.k, *_substitute(x, cols, g.den))
 
 
 def twisted_act(g: LinMap, lam: int, phi: Form) -> Form:
@@ -711,16 +741,11 @@ def musical(mu: InnerProduct, x: Polyvector) -> Form:
     """Lower every slot with mu: the flat isomorphism on polyvectors."""
     if x.n != mu.n:
         raise DimensionMismatch(f"dimension {x.n} != {mu.n}")
-    if mu.is_identity:
-        return Form._from_clean(x.n, x.k, dict(x.terms))
-    return Form._from_clean(x.n, x.k, _substitute(x.terms, mu.rows, mu.den, x.n))
+    return Form._from_clean(x.n, x.k, *_substitute(x, mu.rows, mu.den))
 
 
 def musical_inv(mu: InnerProduct, phi: Form) -> Polyvector:
     """Raise every slot with mu inverse: the sharp isomorphism on forms."""
     if phi.n != mu.n:
         raise DimensionMismatch(f"dimension {phi.n} != {mu.n}")
-    if mu.is_identity:
-        return Polyvector._from_clean(phi.n, phi.k, dict(phi.terms))
-    X, d = _inverse_over_divisor(mu)
-    return Polyvector._from_clean(phi.n, phi.k, _substitute(phi.terms, X, d, phi.n))
+    return Polyvector._from_clean(phi.n, phi.k, *_substitute(phi, *_inverse_over_divisor(mu)))

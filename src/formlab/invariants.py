@@ -21,6 +21,7 @@ forms, and build no Killing form.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -69,16 +70,6 @@ __all__ = [
     "nilpotency_witness_degenerate",
     "orientation_reversing_stabilizer_witness",
 ]
-
-
-def _integer_terms(t) -> list[tuple[MultiIndex, int]]:
-    """The terms of t scaled by the lcm of its denominators.
-
-    A common positive scale moves neither the rank nor the kernel of a linear
-    system built from the coefficients, so the builders below work on these.
-    """
-    scale = lcm(*{c.denominator for c in t.terms.values()})
-    return [(idx, c.numerator * (scale // c.denominator)) for idx, c in t.terms.items()]
 
 
 # Row tables of the contraction and stabilizer systems, shared by every
@@ -168,17 +159,17 @@ def _contraction_rows(t, j: int = 1) -> tuple[list[list[int]], int]:
 
     Columns are the degree-j multi-indices in lexicographic order; rows are
     the degree k-j multi-indices that actually occur, in order of first use
-    (rank and nullspace do not depend on it).  t is scaled once to integers
-    by _integer_terms, and each term reads its entries from the table of
-    (n, k, j) in _CONTRACTIONS, filled the first time the term's index is met,
-    so the table never holds more than C(n, k) entry tuples.  The same
-    construction serves forms and polyvectors; only the variance of the
-    answer differs.
+    (rank and nullspace do not depend on it).  It is built on t.nums: the
+    positive scale t.den moves neither the rank nor the kernel.  Each term
+    reads its entries from the table of (n, k, j) in _CONTRACTIONS, filled
+    the first time the term's index is met, so the table never holds more
+    than C(n, k) entry tuples.  The same construction serves forms and
+    polyvectors; only the variance of the answer differs.
     """
     n, k = t.n, t.k
     ncols = comb(n, j)
     table = _CONTRACTIONS.setdefault((n, k, j), {})
-    rows = _table_rows(_integer_terms(t), table, _contraction_entries, ncols, n, j)
+    rows = _table_rows(t.nums.items(), table, _contraction_entries, ncols, n, j)
     return list(rows.values()), ncols
 
 
@@ -268,9 +259,10 @@ def reduce_form(phi: Form) -> Reduction:
     reduced = phi
     if r < n:
         pos = {c + 1: t for t, c in enumerate(sorted(set(range(n)).difference(free)), 1)}
-        kept = [(idx, c) for idx, c in phi.terms.items() if pos.keys() >= set(idx)]
+        kept = [(idx, c) for idx, c in phi.nums.items() if pos.keys() >= set(idx)]
         # from a list, not a generator: see _substitute
-        reduced = Form(r, phi.k, {tuple([pos[i] for i in idx]): c for idx, c in kept})
+        kept = {tuple([pos[i] for i in idx]): c for idx, c in kept}
+        reduced = Form._from_clean(r, phi.k, kept, phi.den)
     return Reduction(r=r, reduced=reduced, kernel=tuple(map(tuple, kernel)), original_n=n)
 
 
@@ -279,17 +271,17 @@ def infinitesimal_act(A: LinMap, phi: Form) -> Form:
 
     On a basis form this is minus the sum over slots of substituting A into
     that slot; A = Id gives -k * phi.  The row of each multi-index in the
-    stabilizer system of phi (_stabilizer_rows, here on the rational terms)
-    holds its coefficient as a dot product with the int rows of A, over A.den.
+    stabilizer system of phi (_stabilizer_rows, on phi.nums) holds its
+    coefficient as a dot product with the int rows of A, over phi.den * A.den.
     """
     if A.n != phi.n:
         raise FormError(f"dimension {A.n} != {phi.n}")
     n = phi.n
     flat = [a for row in A.rows for a in row]
     table = _STABILIZERS.setdefault(n, {})
-    rows = _table_rows(phi.terms.items(), table, _stabilizer_entries, n * n, n)
-    den = A.den
-    return Form(n, phi.k, {_index(key): sum(map(mul, r, flat)) / den for key, r in rows.items()})
+    rows = _table_rows(phi.nums.items(), table, _stabilizer_entries, n * n, n)
+    dots = {_index(key): c for key, r in rows.items() if (c := sum(map(mul, r, flat)))}
+    return Form._from_clean(n, phi.k, dots, phi.den * A.den)
 
 
 @dataclass(frozen=True)
@@ -314,15 +306,14 @@ class StabAlgebra:
         return tuple(LinMap([v[r * n : (r + 1) * n] for r in range(n)]) for v in self._flat)
 
 
-def _stabilizer_rows(terms: list[tuple[MultiIndex, int]], n: int) -> tuple[list[list[int]], int]:
+def _stabilizer_rows(terms: Iterable[tuple[MultiIndex, int]], n: int) -> tuple[list[list[int]], int]:
     """Integer matrix of A -> infinitesimal_act(A, phi) on R^n, and its column count n^2.
 
-    terms are the integer terms of phi (_integer_terms).  Column (i-1)*n +
-    (b-1) is the entry A[i][b]; rows are the multi-indices that occur, in
-    order of first use.  Each term reads its entries from the table of n in
-    _STABILIZERS, filled the first time the term's index is met, so the
-    table holds at most C(n, k) entry tuples of degree k, of k(n - k + 1)
-    entries each.
+    terms are the items of phi.nums.  Column (i-1)*n + (b-1) is the entry
+    A[i][b]; rows are the multi-indices that occur, in order of first use.
+    Each term reads its entries from the table of n in _STABILIZERS, filled
+    the first time the term's index is met, so the table holds at most
+    C(n, k) entry tuples of degree k, of k(n - k + 1) entries each.
     """
     cols = n * n
     rows = _table_rows(terms, _STABILIZERS.setdefault(n, {}), _stabilizer_entries, cols, n)
@@ -330,9 +321,9 @@ def _stabilizer_rows(terms: list[tuple[MultiIndex, int]], n: int) -> tuple[list[
 
 
 def stabilizer_algebra(phi: Form) -> StabAlgebra:
-    """Nullspace of A -> infinitesimal_act(A, phi), built on phi scaled to integers."""
+    """Nullspace of A -> infinitesimal_act(A, phi), built on phi.nums."""
     n = phi.n
-    flat, free = nullspace_rows(*_stabilizer_rows(_integer_terms(phi), n))
+    flat, free = nullspace_rows(*_stabilizer_rows(phi.nums.items(), n))
     return StabAlgebra(n=n, dim=len(flat), _flat=tuple(map(tuple, flat)), _free=tuple(free))
 
 
@@ -485,7 +476,7 @@ def _top_pairings(r: int) -> tuple[Splits, ...]:
 
 
 def _psi_duals(
-    terms: list[tuple[MultiIndex, int]], r: int
+    terms: Iterable[tuple[MultiIndex, int]], r: int
 ) -> tuple[list[list[int]], list[list[int]]]:
     """i_{e_w} phi and the top pairings of psi_w = i_{e_w} phi ^ phi, w = 1..r.
 
@@ -532,7 +523,7 @@ def _vector_wedges(r: int) -> tuple[Splits, ...]:
     return tuple(table)
 
 
-def _sextic_gram(terms: list[tuple[MultiIndex, int]]) -> list[list[int]]:
+def _sextic_gram(terms: Iterable[tuple[MultiIndex, int]]) -> list[list[int]]:
     """Q[x][y] = tr(M_x M_y) for the integer terms of a 3-form on R^8.
 
     M_x[u][z] is the coefficient of e^u ^ i_{e_z} phi ^ psi_x on e^{1..8}:
@@ -562,7 +553,7 @@ def _sextic_gram(terms: list[tuple[MultiIndex, int]]) -> list[list[int]]:
     return Q
 
 
-def _hitchin_trace(terms: list[tuple[MultiIndex, int]]) -> int:
+def _hitchin_trace(terms: Iterable[tuple[MultiIndex, int]]) -> int:
     """tr K^2 for the integer terms of a 3-form on R^6; 6 lambda up to a positive factor.
 
     K[w][u] is the coefficient of e^u ^ psi_w on e^{1..6}.
@@ -571,7 +562,7 @@ def _hitchin_trace(terms: list[tuple[MultiIndex, int]]) -> int:
     return sum(K[w][u] * K[u][w] for w in range(6) for u in range(6))
 
 
-def _bryant_gram(terms: list[tuple[MultiIndex, int]]) -> list[list[int]]:
+def _bryant_gram(terms: Iterable[tuple[MultiIndex, int]]) -> list[list[int]]:
     """B[v][w], the coefficient of i_v phi ^ i_w phi ^ phi on e^{1..7}, for a 3-form on R^7.
 
     2-forms commute, so B is symmetric and only v <= w is summed.
@@ -599,7 +590,7 @@ def _stable_three_form(phi: Form) -> Fingerprint | None:
     fingerprint).  A positive scale c of the terms multiplies tr K^2 by
     c^4, B by c^3 and Q by c^6, so neither the sign nor the inertia moves.
     """
-    terms = _integer_terms(phi)
+    terms = phi.nums.items()
     if phi.n == 6:
         t = _hitchin_trace(terms)
         if not t:
@@ -899,9 +890,9 @@ def _bivector_matrix(phi: Form, omega: VolumeForm) -> list[list[int]]:
 
     phi's coefficient c at idx puts c / (sign * scale) on the complement
     {i < j}, where sign = (-1)^(i+j+1) is contract_sign's for removing i,
-    then j, from 1..n.  Taking phi's integer terms and only the sign of the
-    scale multiplies the matrix by a positive number, which keeps its rank
-    and the sign of its Pfaffian.
+    then j, from 1..n.  Taking phi.nums and only the sign of the scale
+    multiplies the matrix by a positive number, which keeps its rank and the
+    sign of its Pfaffian.
     """
     n = phi.n
     if n != omega.n:
@@ -909,7 +900,7 @@ def _bivector_matrix(phi: Form, omega: VolumeForm) -> list[list[int]]:
     full = (1 << n) - 1
     flip = 1 if omega.scale > 0 else -1
     S = [[0] * n for _ in range(n)]
-    for idx, c in _integer_terms(phi):
+    for idx, c in phi.nums.items():
         i, j = _index(full ^ _mask(idx))
         c = flip * c if (i + j) % 2 else -flip * c
         S[i - 1][j - 1], S[j - 1][i - 1] = c, -c

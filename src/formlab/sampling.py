@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from .exterior import Form, LinMap, normalize_index
@@ -29,11 +28,11 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 
 def random_form(n: int, k: int, bound: int, rng: random.Random) -> Form:
     """Form with coefficients uniform on the integers in [-bound, bound]."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for idx in combinations(range(1, n + 1), k):
         c = rng.randint(-bound, bound)
         if c:
-            terms[idx] = Fraction(c)
+            terms[idx] = c
     return Form(n, k, terms)
 
 

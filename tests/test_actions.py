@@ -32,14 +32,15 @@ from formlab.sampling import random_gl, trial_rng
 from conftest import pairing
 
 coeffs = st.integers(-9, 9).filter(bool)
+rational_coeffs = st.fractions(-9, 9, max_denominator=7).filter(bool)
 
 
 def index_tuples(n, k):
     return st.sets(st.integers(1, n), min_size=k, max_size=k).map(lambda s: tuple(sorted(s)))
 
 
-def forms(n, k, cls=Form):
-    return st.dictionaries(index_tuples(n, k), coeffs, max_size=4).map(
+def forms(n, k, cls=Form, coeff=coeffs):
+    return st.dictionaries(index_tuples(n, k), coeff, max_size=4).map(
         lambda d: cls(n, k, {i: Fraction(c) for i, c in d.items()})
     )
 
@@ -77,15 +78,17 @@ def test_infinitesimal_is_linear_and_respects_brackets(A, B, phi, psi):
 
 
 @settings(max_examples=20, deadline=None)
-@given(A=maps(3, bound=2), phi=forms(3, 2))
-def test_infinitesimal_matches_pullback_derivative(A, phi):
+@given(A=maps(3, bound=2), d=st.integers(1, 3), phi=forms(3, 2, coeff=rational_coeffs))
+def test_infinitesimal_matches_pullback_derivative(A, d, phi):
     """Exact first derivative of s -> pullback(I + sA, phi) at s = 0.
 
     The pullback coefficients are polynomials in s of degree <= k, so the
     linear coefficient is recovered exactly by interpolation at s = 0, 1, -1,
     2 using c1 = (8 f(1) - 8 f(-1) - f(2) + f(-2)) / 12.  Its negation is the
-    infinitesimal left action.
+    infinitesimal left action.  phi and A / d are rational, so both divisors
+    of the integer rows are exercised.
     """
+    A = LinMap([[x / d for x in row] for row in A.entries])
     n, k = 3, 2
     samples = {}
     for s in (1, -1, 2, -2):

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -33,7 +35,8 @@ from formlab import (
     twisted_act,
     wedge,
 )
-from formlab.exterior import _substitute, contract_sign, normalize_index
+from formlab.exterior import _clean_terms, _substitute, contract_sign, normalize_index
+from formlab.invariants import infinitesimal_act, reduce_form
 from formlab.linalg import _scale_to_int
 
 from conftest import (
@@ -135,6 +138,23 @@ def test_constructor_sums_repeated_indices():
     assert Form(3, 1, [((3,), Fraction(1, 2)), ((3,), Fraction(-1, 2))]).is_zero
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_constructor_stores_least_divisor(data):
+    # repeated indices and zero coefficients: the stored ints are nonzero,
+    # den is the least positive integer clearing every denominator, and the
+    # Fraction view is what validation makes of the pairs
+    n = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, n))
+    idx = st.sampled_from(list(combinations(range(1, n + 1), k)))
+    coeff = st.one_of(st.just(0), rational_coeffs)
+    pairs = data.draw(st.lists(st.tuples(idx, coeff), max_size=8))
+    for cls in (Form, Polyvector):
+        t = cls(n, k, pairs)
+        assert t.den > 0 and gcd(t.den, *t.nums.values()) == 1 and all(t.nums.values())
+        assert t.terms == _clean_terms(n, k, pairs)
+
+
 def test_terms_are_immutable():
     f = Form.basis(3, (1, 2))
     with pytest.raises(TypeError):
@@ -180,6 +200,25 @@ def test_volume_forms_hash_by_value_and_inner_products_compare_by_identity():
     assert VolumeForm(3, 2) != VolumeForm(3, -2) and VolumeForm(3) != VolumeForm(4)
     mu = InnerProduct([[2, 1], [1, 2]])
     assert mu == mu and mu != InnerProduct([[2, 1], [1, 2]])
+
+
+def test_value_types_copy_and_pickle():
+    # each reduces to its public constructor; InnerProduct compares by
+    # identity, so its copies are compared by matrix
+    half = Fraction(1, 2)
+    mu = InnerProduct([[2, half], [half, 1]])
+    values = [
+        Form(3, 2, {(1, 2): half, (2, 3): -3}),
+        Polyvector(3, 1, {(2,): half}),
+        LinMap([[1, half], [0, 2]]),
+        VolumeForm(3, half),
+        mu,
+        formlab.classify(Form(9, 3, {(1, 2, 3): 1, (4, 5, 6): 1})),
+    ]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x)
+            assert y.matrix == mu.matrix if x is mu else y == x
 
 
 def test_arithmetic_and_zero_pruning():
@@ -399,6 +438,20 @@ def test_pullback_evaluation_semantics(data):
     assert evaluate_form(back, vs) == evaluate_form(phi, mid)
 
 
+def substituted(terms, rows, n, k):
+    """_substitute on Form(n, k, terms) by rows, wrapped by _from_clean.
+
+    It must equal the Fraction oracle, and _from_clean must reduce the
+    kernel's ints over its divisor to the (nums, den) the constructor stores.
+    """
+    out = Form._from_clean(n, k, *_substitute(Form(n, k, terms), *_scale_to_int(rows)))
+    want = substitute_oracle(terms, rows, n)
+    assert out.terms == want
+    clean = Form(n, k, want)
+    assert (out.nums, out.den) == (clean.nums, clean.den)
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_substitute_matches_fraction_oracle(data):
@@ -421,7 +474,7 @@ def test_substitute_matches_fraction_oracle(data):
         for i, j in data.draw(st.lists(pairs, max_size=2)):
             q = data.draw(st.fractions(-3, 3, max_denominator=5))
             rows[i] = [q * x for x in rows[j]]
-    assert _substitute(terms, *_scale_to_int(rows), n) == substitute_oracle(terms, rows, n)
+    substituted(terms, rows, n, k)
 
 
 @settings(max_examples=25, deadline=None)
@@ -436,7 +489,7 @@ def test_substitute_dense_matches_fraction_oracle(data):
     terms = dict(zip(idxs, cs))
     entry = st.integers(-5, 5).filter(bool)
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    assert _substitute(terms, *_scale_to_int(rows), n) == substitute_oracle(terms, rows, n)
+    substituted(terms, rows, n, k)
 
 
 @pytest.mark.parametrize("k", [10, 11, 12])
@@ -452,7 +505,7 @@ def test_substitute_sparse_top_degrees_at_n12(k, seed):
         for idx in rng.sample(idxs, min(3, len(idxs)))
     }
     rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-    assert _substitute(terms, *_scale_to_int(rows), n) == substitute_oracle(terms, rows, n)
+    substituted(terms, rows, n, k)
 
 
 def test_substitute_on_interleaved_shapes(rng):
@@ -463,12 +516,9 @@ def test_substitute_on_interleaved_shapes(rng):
     for n, k, count in [(7, 3, 20), (9, 4, 30), (7, 4, 35), (12, 6, 4)]:
         idxs = list(combinations(range(1, n + 1), k))
         terms = {idx: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for idx in rng.sample(idxs, count)}
-        calls.append((terms, random_int_matrix(rng, n, n), n))
+        calls.append((terms, random_int_matrix(rng, n, n), n, k))
     calls.append(calls[0])
-    results = []
-    for terms, rows, n in calls:
-        results.append(_substitute(terms, *_scale_to_int(rows), n))
-        assert results[-1] == substitute_oracle(terms, rows, n)
+    results = [substituted(*call) for call in calls]
     assert results[-1] == results[0]
 
 
@@ -494,10 +544,19 @@ def test_actions_wrap_clean_terms(data):
     gram = [[sum(r[i] * r[j] for r in a) + (i == j) for j in range(n)] for i in range(n)]
     mu = InnerProduct(gram)  # a^T a + I, positive definite
     moved = act(g, phi)
-    for r in [moved, act_vectors(g, xi), pullback(g, phi), musical(mu, xi), musical_inv(mu, phi)]:
+    results = [moved, act_vectors(g, xi), pullback(g, phi), musical(mu, xi), musical_inv(mu, phi)]
+    assert all((r.n, r.k) == (n, k) for r in results)
+    # and so do reduce_form and infinitesimal_act, here by an A with A.den > 1
+    a_rows = data.draw(square)
+    if n:
+        a_rows[0][0] += Fraction(1, 7)
+        results.append(infinitesimal_act(LinMap(a_rows), phi))
+    if k:
+        results.append(reduce_form(phi).reduced)
+    for r in results:
         clean = type(r)(r.n, r.k, dict(r.terms))
         assert r == clean and hash(r) == hash(clean)
-        assert (r.n, r.k) == (n, k) and all(r.terms.values())
+        assert all(r.nums.values())
     # (g . phi)(g v_1, ..., g v_k) == phi(v_1, ..., v_k)
     vs = data.draw(st.lists(vectors(n), min_size=k, max_size=k))
     gvs = [[sum(g.entries[i][j] * v[j] for j in range(n)) for i in range(n)] for v in vs]

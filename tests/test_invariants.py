@@ -44,7 +44,6 @@ from formlab.invariants import (
     _bryant_gram,
     _contraction_rows,
     _hitchin_trace,
-    _integer_terms,
     _kernel_reflection,
     _sextic_gram,
     _stabilizer_rows,
@@ -257,7 +256,7 @@ def test_stabilizer_short_on_leading_rows_needs_no_bareiss(monkeypatch):
     rng = random.Random("formlab-bench/census/0/3")
     terms = {idx: c for idx in combinations(range(1, 9), 4) if (c := rng.randint(-9, 9))}
     phi = Form(8, 4, terms)
-    rows, ncols = _stabilizer_rows(_integer_terms(phi), 8)
+    rows, ncols = _stabilizer_rows(list(phi.nums.items()), 8)
     assert (len(rows), ncols) == (70, 64)
     assert linalg._rank_mod_p(rows[:ncols], ncols) == 63
 
@@ -299,7 +298,7 @@ def test_table_rows_match_naive_builders(data):
         want, want_cols = contraction_rows_oracle(t, j)
         assert ncols == want_cols == comb(n, j)
         assert sorted(rows) == sorted(want)
-    terms = _integer_terms(t)
+    terms = list(t.nums.items())
     assert _stabilizer_rows(terms, n) == stabilizer_rows_oracle(terms, n)
 
 
@@ -594,7 +593,7 @@ def bryant_gram_oracle(phi):
 
 
 def bryant_inertia(phi):
-    return inertia_fraction(_bryant_gram(_integer_terms(phi)))
+    return inertia_fraction(_bryant_gram(list(phi.nums.items())))
 
 
 def _three_form(data, n):
@@ -606,9 +605,9 @@ def _three_form(data, n):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_hitchin_trace_matches_poincare_oracle(data):
-    # _integer_terms scales by c > 0, which multiplies tr K^2 by c^4
+    # nums scales phi by c = den > 0, which multiplies tr K^2 by c^4
     phi = _three_form(data, 6)
-    terms = _integer_terms(phi)
+    terms = list(phi.nums.items())
     c = terms[0][1] / phi.terms[terms[0][0]]
     assert _hitchin_trace(terms) == c**4 * hitchin_trace_oracle(phi)
 
@@ -618,7 +617,7 @@ def test_hitchin_trace_matches_poincare_oracle(data):
 def test_bryant_gram_matches_wedge_oracle(data):
     # B scales by c^3
     phi = _three_form(data, 7)
-    terms = _integer_terms(phi)
+    terms = list(phi.nums.items())
     c = terms[0][1] / phi.terms[terms[0][0]]
     assert _bryant_gram(terms) == [[c**3 * x for x in row] for row in bryant_gram_oracle(phi)]
 
@@ -627,9 +626,9 @@ def test_hitchin_and_bryant_on_the_catalog():
     # lambda = tr K^2 / 6: 1 for split type, -4 for elliptic, 0 off rank 6
     for name, lam in (("split-2", 1), ("elliptic-6", -4), ("decomposable", 0)):
         rep = next(entry.representative for entry in catalog_entries(6, 3) if entry.name == name)
-        assert _hitchin_trace(_integer_terms(rep)) == 6 * lam
+        assert _hitchin_trace(list(rep.nums.items())) == 6 * lam
     phi = e(6, 1, 2, 6) - e(6, 2, 3, 4) + e(6, 1, 3, 5)  # rank 6, lambda = 0
-    assert rank(phi) == 6 and _hitchin_trace(_integer_terms(phi)) == 0
+    assert rank(phi) == 6 and _hitchin_trace(list(phi.nums.items())) == 0
     # B is definite on the compact form, of signature (3, 4) on the split one
     assert bryant_inertia(literature_form("G2-compact-7")) == (7, 0, 0)
     assert bryant_inertia(literature_form("G2-tilde-7")) == (3, 4, 0)
@@ -643,7 +642,7 @@ def test_hitchin_and_bryant_signs_are_action_invariant(n):
         phi = random_form(n, 3, 9, trial_rng(66, t))
         moved = act(random_gl(n, trial_rng(67, t), det_sign=(-1) ** t), phi)
         if n == 6:
-            a, b = (_hitchin_trace(_integer_terms(x)) for x in (phi, moved))
+            a, b = (_hitchin_trace(list(x.nums.items())) for x in (phi, moved))
             assert a and (a > 0) == (b > 0)
         else:
             (p, q, z), (pm, qm, zm) = map(bryant_inertia, (phi, moved))
@@ -669,7 +668,7 @@ def sextic_gram_oracle(phi):
 
 
 def sextic_inertia(phi):
-    return inertia_fraction(_sextic_gram(_integer_terms(phi)))
+    return inertia_fraction(_sextic_gram(list(phi.nums.items())))
 
 
 @settings(max_examples=15, deadline=None)
@@ -681,7 +680,7 @@ def test_sextic_gram_matches_wedge_oracle(data):
         phi = Form(8, 3, {idx: data.draw(coeffs) for idx in combinations(range(1, 9), 3)})
     else:
         phi = _three_form(data, 8)
-    terms = _integer_terms(phi)
+    terms = list(phi.nums.items())
     c = terms[0][1] / phi.terms[terms[0][0]]
     assert _sextic_gram(terms) == [[c**6 * x for x in row] for row in sextic_gram_oracle(phi)]
 
