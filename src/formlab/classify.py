@@ -357,10 +357,6 @@ def classify_codim_two(phi: Form, omega: VolumeForm | None = None) -> OrbitRepor
     )
 
 
-def _inflate(rep: Form, n: int) -> Form:
-    return Form(n, rep.k, dict(rep.terms))
-
-
 def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
     """Dispatch to the strongest complete invariant available for (n, k).
 
@@ -406,6 +402,7 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
     else:
         sub = _catalog_verdict(red.reduced, reduced_fingerprint)
     notes = ("no catalog match for the reduced form",) if sub.kind == "unknown" else sub.notes
+    c = sub.canonical
     # An exact sub-verdict has no candidates, a candidates one no id or canonical form.
     return replace(
         sub,
@@ -413,7 +410,7 @@ def classify(phi: Form, omega: VolumeForm | None = None) -> OrbitReport:
         candidates=tuple(f"rank{r}:{name}" for name in sub.candidates),
         n=n,
         fingerprint=fp,
-        canonical=_inflate(sub.canonical, n) if sub.canonical is not None else None,
+        canonical=Form._from_clean(n, k, dict(c.nums), c.den) if c is not None else None,
         components=1,
         open=n * n - fp.stab_dim == comb(n, k),
         notes=(f"classified through the rank-{r} reduction",) + notes,

@@ -36,8 +36,13 @@ invariants, classify and sampling import them:
   by the parity of the indices above it.
 
 LinMap and InnerProduct store their matrix as integer rows over one
-divisor too, and every action is one substitution kernel, _substitute,
-which replaces each basis covector by a row of the matrix.  It runs on
+divisor too.  A LinMap built from entries takes its determinant by one
+elimination; inverse, @ and transpose build their int rows directly and
+carry the determinant their operands give (LinMap._from_ints), so no
+derived matrix passes through Fractions or a second elimination.
+
+Every action is one substitution kernel, _substitute, which replaces each
+basis covector by a row of the matrix.  It runs on
 Python ints: the tensor and the rows come as stored, or g inverse straight
 from its Bareiss pass (linalg._inverse_int), and its ints over one divisor
 are reduced by one gcd (_from_clean), unvalidated.  It removes the old
@@ -52,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
@@ -345,12 +349,14 @@ class Polyvector(_Alternating):
 
 @dataclass(frozen=True, init=False, repr=False)
 class LinMap:
-    """Square rational matrix with a cached determinant.
+    """Square rational matrix and its determinant.
 
     Represents both group elements g in GL(n, Q) and algebra elements
     A in gl(n, Q); rows index the output, columns the input.  Stored as int
     rows over den, the least positive integer clearing every denominator, so
-    equal matrices store equal (rows, den); entries is built when read.
+    equal matrices store equal (rows, den); entries is built when read.  det
+    is computed once, when the matrix is built from entries, and carried
+    through inverse, @ and transpose, which build their rows as ints.
     """
 
     __slots__ = ("n", "rows", "den", "det")
@@ -364,22 +370,32 @@ class LinMap:
         rows, den = _scale_to_int(entries)
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("matrix must be square")
-        object.__setattr__(self, "n", n)
+        self._set(rows, den, det_fraction(rows) / den**n)
+
+    @classmethod
+    def _from_ints(cls, rows, d: int, det: Fraction) -> "LinMap":
+        """Wrap square int rows over any d != 0, whose determinant det the caller
+        knows, reduced by one gcd as __init__ would store them; unchecked."""
+        g = gcd(d, *[x for row in rows for x in row]) * (-1 if d < 0 else 1)
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+        return object.__new__(cls)._set(rows, d // g, det)
+
+    def _set(self, rows, den: int, det: Fraction) -> "LinMap":
+        object.__setattr__(self, "n", len(rows))
         # from lists, not generators: see _substitute
         object.__setattr__(self, "rows", tuple([tuple(row) for row in rows]))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "det", det_fraction(rows) / den**n)
+        object.__setattr__(self, "det", det)
+        return self
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return _fractions(self.rows, self.den)
 
     @classmethod
-    @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "LinMap":
-        # immutable, so one instance per n serves every caller and its
-        # determinant is eliminated once
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._from_ints([[int(i == j) for j in range(n)] for i in range(n)], 1, Fraction(1))
 
     @classmethod
     def diagonal(cls, diag: Sequence[Scalar]) -> "LinMap":
@@ -388,8 +404,7 @@ class LinMap:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[Scalar]]) -> "LinMap":
-        n = len(cols)
-        return cls([[cols[j][i] for j in range(n)] for i in range(n)])
+        return cls(cols).transpose()
 
     @property
     def is_invertible(self) -> bool:
@@ -398,10 +413,10 @@ class LinMap:
     def inverse(self) -> "LinMap":
         if not self.det:
             raise SingularMatrix("matrix is singular")
-        return LinMap(_fractions(*_inverse_over_divisor(self)))
+        return LinMap._from_ints(*_inverse_over_divisor(self), 1 / self.det)
 
     def transpose(self) -> "LinMap":
-        return LinMap(_fractions(zip(*self.rows), self.den))
+        return LinMap._from_ints(list(zip(*self.rows)), self.den, self.det)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         if not isinstance(other, LinMap):
@@ -410,7 +425,7 @@ class LinMap:
             raise DimensionMismatch(f"dimension {other.n} != {self.n}")
         cols = list(zip(*other.rows))
         prods = [[sum(map(mul, row, col)) for col in cols] for row in self.rows]
-        return LinMap(_fractions(prods, self.den * other.den))
+        return LinMap._from_ints(prods, self.den * other.den, self.det * other.det)
 
     def apply(self, v: Polyvector) -> Polyvector:
         """Image of a degree-1 vector."""

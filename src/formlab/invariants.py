@@ -49,6 +49,7 @@ from .linalg import (
     Scalar,
     inertia_fraction,
     nullspace_rows,
+    primitive_vector,
     rank_rows,
     skew_pairs,
 )
@@ -206,10 +207,11 @@ def _kernel_reflection(u: list[Scalar]) -> LinMap:
     every other column vanishes at f, row r + 1 of frame^{-1} is e_f^T / u_f,
     and g is frame . diag(1^r, -1, 1, ...) . frame^{-1} exactly.
     """
+    u = primitive_vector(u)  # g depends only on the direction of u
     n = len(u)
     f = max(i for i in range(n) if u[i])
-    col = [int(i == f) - 2 * Fraction(u[i]) / u[f] for i in range(n)]
-    return LinMap([[col[i] if j == f else int(i == j) for j in range(n)] for i in range(n)])
+    rows = [[u[f] * (i == j) - 2 * u[i] * (j == f) for j in range(n)] for i in range(n)]
+    return LinMap._from_ints(rows, u[f], Fraction(-1))
 
 
 @dataclass(frozen=True)
@@ -235,8 +237,8 @@ class Reduction:
         return LinMap.from_columns(cols + list(self.kernel))
 
     def reconstruct(self) -> Form:
-        inflated = Form(self.original_n, self.reduced.k, dict(self.reduced.terms))
-        return act(self.frame, inflated)
+        x = self.reduced
+        return act(self.frame, Form._from_clean(self.original_n, x.k, dict(x.nums), x.den))
 
 
 def reduce_form(phi: Form) -> Reduction:

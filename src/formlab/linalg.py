@@ -10,8 +10,10 @@ rank nor nullspace, and multiplies the determinant of an n x n matrix by l^n.
 Every row takes the same l, so the k x k pivots of a rational system carry
 l^k; src passes rank_rows and nullspace_rows only integer systems.
 The inverse leaves its pass as integer rows X over one divisor d, A X = d I
-(_inverse_int), which the substitution kernel of exterior takes as they are;
-inverse_fraction is their Fraction view.  inertia_fraction and skew_pairs are
+(_inverse_int), which the substitution kernel of exterior and LinMap.inverse
+take as they are; inverse_fraction is their Fraction view.  No src code calls
+inverse_fraction: it stays for the tests and the benchmark's tracer, which
+looks up every name it wraps.  inertia_fraction and skew_pairs are
 not solves: they apply each operation to rows and columns alike (congruence),
 which a one-sided row reduction cannot reproduce.  Both divide each Schur
 complement by its content instead of by pivots: what they return (the

@@ -37,7 +37,7 @@ from formlab import (
 )
 from formlab.exterior import _clean_terms, _substitute, contract_sign, normalize_index
 from formlab.invariants import infinitesimal_act, reduce_form
-from formlab.linalg import _scale_to_int
+from formlab.linalg import _inverse_int, _scale_to_int
 
 from conftest import (
     det_gauss,
@@ -211,6 +211,7 @@ def test_value_types_copy_and_pickle():
         Form(3, 2, {(1, 2): half, (2, 3): -3}),
         Polyvector(3, 1, {(2,): half}),
         LinMap([[1, half], [0, 2]]),
+        LinMap([[1, half], [0, 2]]).inverse(),
         VolumeForm(3, half),
         mu,
         formlab.classify(Form(9, 3, {(1, 2, 3): 1, (4, 5, 6): 1})),
@@ -295,6 +296,9 @@ def test_linmap_basics():
     assert g.det == -2
     assert g.transpose().entries == ((1, 3), (2, 4))
     assert LinMap.from_columns([[1, 3], [2, 4]]) == g
+    for cols in ([[1, 2, 3], [4, 5, 6]], [[1], [2]]):
+        with pytest.raises(DimensionMismatch, match="square"):
+            LinMap.from_columns(cols)
     h = g.inverse()
     assert (g @ h) == LinMap.identity(2)
     with pytest.raises(SingularMatrix):
@@ -333,6 +337,18 @@ def test_linmap_over_one_divisor_matches_fraction_oracles(data):
     else:
         with pytest.raises(SingularMatrix):
             g.inverse()
+    # derived matrices carry their operands' determinant and store what a
+    # fresh elimination of their entries stores; g and g @ flip leave the
+    # inverse's Bareiss pass with divisors of opposite signs
+    flip = LinMap.diagonal([-1] + [1] * (n - 1))
+    derived = [g @ h, g @ LinMap([row[:-1] + [0] for row in N]), g.transpose()]
+    if g.det:
+        assert _inverse_int(g.rows)[1] * _inverse_int((g @ flip).rows)[1] < 0
+        derived += [g.inverse(), (g @ flip).inverse()]
+    for x in derived:
+        fresh = LinMap(x.entries)
+        assert x == fresh and hash(x) == hash(fresh)
+        assert x.det == det_oracle(x.entries)
     gram = [[sum(r[i] * r[j] for r in M) + (i == j) for j in range(n)] for i in range(n)]
     assert InnerProduct(gram).matrix == tuple(map(tuple, gram))  # M^T M + I
 

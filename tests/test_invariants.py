@@ -549,8 +549,11 @@ def test_kernel_reflection_is_the_conjugated_reflection(n, zero, seed):
     rng = random.Random(seed)
     phi = Form.zero(n, 1 + rng.randrange(n)) if zero else _moved_degenerate_form(n, rng)
     red, oracle = _conjugated_reflection(phi)
-    g = _kernel_reflection([row[red.r] for row in red.frame.entries])
+    u = [row[red.r] for row in red.frame.entries]
+    g = _kernel_reflection(u)
     assert g == oracle
+    c = Fraction(-rng.randint(1, 9), rng.randint(1, 9))
+    assert _kernel_reflection([c * x for x in u]) == g
     assert g.det == -1
     assert g @ g == LinMap.identity(n)
     assert act(g, phi) == phi
