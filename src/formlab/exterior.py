@@ -50,6 +50,21 @@ indices level by level, last slot first, so inserting j among the m other
 slots at position p gives the sign (-1)^(m - p), read from a table of
 subsets per n that is filled as pairs are met (see _INSERTS).
 
+act on a k-form with 2k >= n substitutes in the dual degree n - k and
+takes no inverse.  Let vol = e^{1..n} and eps(I) = (-1)^(sum I - k(k+1)/2)
+for I of degree k: eps(I) counts the pairs i in I, j in I^c with j < i, so
+e^I ^ e^{I^c} = eps(I) vol, and contracting e_I slot by slot in ascending
+order gives i_{e_I} vol = eps(I) e^{I^c}.  Write phi = i_xi vol.  Then
+g . phi = i_{g xi}(g . vol) = det(g)^-1 i_{g xi} vol, since contraction is
+equivariant and g . vol = (g^-1)^* vol = det(g)^-1 vol.  In coordinates
+phi_I = eps(I^c) xi_{I^c}, and e^{I^c} ^ e^I = (-1)^(k(n - k)) e^I ^ e^{I^c}
+gives eps(I^c) = (-1)^(k(n - k)) eps(I).  So act maps phi's ints to
+eps(I) phi_I at I^c, which is (-1)^(k(n - k)) xi (_complement); substitutes
+the columns of g, as act_vectors does, giving (-1)^(k(n - k)) g xi; maps
+each J to J^c with eps(J) (-1)^(k(n - k)); and multiplies the divisor by
+the determinant g stores.  poincare and poincare_inv are the same
+complement map, times omega.scale or over it.
+
 All arithmetic is exact; nothing here ever rounds.
 """
 
@@ -287,7 +302,8 @@ class _Alternating:
         c = as_fraction(c)
         if not c:
             return type(self)(self.n, self.k)
-        return type(self)(self.n, self.k, {i: c * v for i, v in self.terms.items()})
+        nums = {i: v * c.numerator for i, v in self.nums.items()}
+        return self._from_clean(self.n, self.k, nums, self.den * c.denominator)
 
     def __mul__(self, c):
         return self.scaled(c)
@@ -618,6 +634,28 @@ def _inserted(s: int, j: int) -> int:
     return -(s | bit) if (s >> j).bit_count() % 2 else s | bit
 
 
+# _COMPLEMENTS[n][I] is (I^c, eps(I)): the complement of I in 1..n and the
+# sign with e^I ^ e^{I^c} = eps(I) e^{1..n} (module docstring).  Filled as
+# indices are met; each entry is a function of its key, as in _TUPLES.
+_COMPLEMENTS: dict[int, dict[MultiIndex, tuple[MultiIndex, int]]] = {}
+
+
+def _complement(n: int, nums: Mapping[MultiIndex, int], c: int = 1) -> dict[MultiIndex, int]:
+    """c * eps(I) * x at I^c for every x at I in nums: the complement map of
+    the duality between degrees k and n - k, on ints."""
+    table = _COMPLEMENTS.setdefault(n, {})
+    out = {}
+    for idx, x in nums.items():
+        hit = table.get(idx)
+        if hit is None:
+            k = len(idx)
+            eps = -1 if (sum(idx) - k * (k + 1) // 2) % 2 else 1
+            hit = table[idx] = (_index(((1 << n) - 1) ^ _mask(idx)), eps)
+        comp, eps = hit
+        out[comp] = eps * c * x
+    return out
+
+
 def _substitute(t: _Alternating, int_rows, d: int) -> tuple[dict[MultiIndex, int], int]:
     """Replace every e^i by sum_j int_rows[i-1][j-1] / d e^j in t: (nums, div).
 
@@ -689,14 +727,30 @@ def _substitute(t: _Alternating, int_rows, d: int) -> tuple[dict[MultiIndex, int
 
 
 def act(g: LinMap, phi: Form) -> Form:
-    """Left action of g on forms: pullback by g inverse."""
+    """Left action of g on forms: pullback by g inverse.
+
+    For 2k < n the rows of g inverse are substituted in degree k.  For
+    2k >= n phi is read as i_xi vol with xi an (n - k)-vector, and
+    g . i_xi vol = det(g)^-1 i_{g xi} vol: xi is the complement of phi's
+    terms, e^I -> eps(I) e_{I^c} with e^I ^ e^{I^c} = eps(I) e^{1..n},
+    the columns of g are substituted in degree n - k, and the complement
+    is taken back with the sign (-1)^(k(n - k)) and divided once by det g.
+    That route takes no inverse, only the determinant g stores.
+    """
     if not isinstance(phi, Form):
         raise TypeError("act needs a Form; use act_vectors for polyvectors")
     if g.n != phi.n:
         raise DimensionMismatch(f"dimension {g.n} != {phi.n}")
     if not g.det:
         raise SingularMatrix("group element must be invertible")
-    return Form._from_clean(phi.n, phi.k, *_substitute(phi, *_inverse_over_divisor(g)))
+    n, k = phi.n, phi.k
+    if 2 * k < n or k > n:  # above n only the zero tensor, which has no dual
+        return Form._from_clean(n, k, *_substitute(phi, *_inverse_over_divisor(g)))
+    xi = Polyvector._from_clean(n, n - k, _complement(n, phi.nums), phi.den)
+    nums, div = _substitute(xi, list(zip(*g.rows)), g.den)
+    det = g.det
+    back = _complement(n, nums, (-1) ** (k * (n - k)) * det.denominator)
+    return Form._from_clean(n, k, back, div * det.numerator)
 
 
 def pullback(m: LinMap, phi: Form) -> Form:
@@ -731,25 +785,31 @@ def twisted_act(g: LinMap, lam: int, phi: Form) -> Form:
 
 
 def poincare(omega: VolumeForm, xi: Polyvector) -> Form:
-    """Contraction of a k-vector into the volume form: xi -> i_xi(omega)."""
+    """Contraction of a k-vector into the volume form: xi -> i_xi(omega).
+
+    i_{e_J} e^{1..n} = eps(J) e^{J^c}, the sign of contract_sign, so this is
+    the complement of xi's terms (_complement) times omega.scale.
+    """
+    if not isinstance(xi, Polyvector):
+        raise TypeError("poincare needs a Polyvector")
     if xi.n != omega.n:
         raise DimensionMismatch(f"dimension {xi.n} != {omega.n}")
-    return multi_interior(xi, omega.as_form())
+    n, k, s = xi.n, xi.k, omega.scale
+    return Form._from_clean(n, n - k, _complement(n, xi.nums, s.numerator), xi.den * s.denominator)
 
 
 def poincare_inv(omega: VolumeForm, psi: Form) -> Polyvector:
-    """The unique xi with poincare(omega, xi) == psi; degree n - psi.k."""
+    """The unique xi with poincare(omega, xi) == psi; degree n - psi.k.
+
+    eps(I^c) = (-1)^(k(n - k)) eps(I) for I of degree k, since e^{I^c} ^ e^I
+    = (-1)^(k(n - k)) e^I ^ e^{I^c}, so xi is the complement of psi's terms
+    with that sign, over omega.scale.
+    """
     if psi.n != omega.n:
         raise DimensionMismatch(f"dimension {psi.n} != {omega.n}")
-    n = omega.n
-    full = tuple(range(1, n + 1))
-    out: dict[MultiIndex, Fraction] = {}
-    for jdx, c in psi.terms.items():
-        comp = tuple([i for i in full if i not in jdx])
-        rest, sign = contract_sign(full, comp)
-        assert rest == jdx
-        out[comp] = c / (sign * omega.scale)
-    return Polyvector(n, n - psi.k, out)
+    n, k, s = psi.n, psi.k, omega.scale
+    comp = _complement(n, psi.nums, (-1) ** (k * (n - k)) * s.denominator)
+    return Polyvector._from_clean(n, n - k, comp, psi.den * s.numerator)
 
 
 def musical(mu: InnerProduct, x: Polyvector) -> Form:

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import formlab
+import formlab.exterior as exterior
 from formlab import (
     DegreeError,
     DimensionMismatch,
@@ -393,6 +394,34 @@ def test_act_frozen():
         twisted_act(LinMap.diagonal([-1, 1, 1]), -1, e12)
     with pytest.raises(SingularMatrix):
         act(LinMap.diagonal([0, 1, 1]), e12)
+    # degree 4 on R^3 holds only the zero tensor, which act keeps
+    assert act(g, wedge(e12, e12)) == Form(3, 4)
+    # top degree: g . c e^{1..n} = (c / det g) e^{1..n}, here det g = 11/2
+    g3 = LinMap([[1, 2, 0], [0, Fraction(1, 2), 1], [3, 0, -1]])
+    assert act(g3, Form.basis(3, (1, 2, 3), Fraction(3, 5))) == Form.basis(3, (1, 2, 3), Fraction(6, 55))
+    # 2k = n with det g = -1: g^-1 sends e^1 to e^1 - e^2 / 2 and swaps e^3, e^4
+    g4 = LinMap([[1, Fraction(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    phi = Form(4, 2, {(1, 3): 1, (2, 4): 2})
+    assert act(g4, phi) == Form(4, 2, {(1, 4): 1, (2, 4): Fraction(-1, 2), (2, 3): 2})
+
+
+def test_act_of_half_degree_or_more_takes_no_inverse(monkeypatch):
+    # for 2k >= n act substitutes the columns of g in the dual degree n - k
+    # and divides by the det g it stores; only 2k < n inverts g
+    def no_inverse(m):
+        raise AssertionError("act inverted g")
+
+    n = 5
+    g = LinMap([[1, Fraction(1, 2), 0, 0, 0], [0, 2, 1, 0, 0], [0, 0, -1, 0, 3], [1, 0, 0, 1, 0], [0, 0, 0, 1, 1]])
+    phis = [Form(n, k, {i: 1 + sum(i) % 3 for i in combinations(range(1, n + 1), k)}) for k in range(n + 1)]
+    moved = [act(g, phi) for phi in phis]
+    monkeypatch.setattr(exterior, "_inverse_over_divisor", no_inverse)
+    for k, phi in enumerate(phis):
+        if 2 * k >= n:
+            assert act(g, phi) == moved[k]
+        else:
+            with pytest.raises(AssertionError, match="act inverted g"):
+                act(g, phi)
 
 
 def test_poincare_frozen():
@@ -560,6 +589,8 @@ def test_actions_wrap_clean_terms(data):
     gram = [[sum(r[i] * r[j] for r in a) + (i == j) for j in range(n)] for i in range(n)]
     mu = InnerProduct(gram)  # a^T a + I, positive definite
     moved = act(g, phi)
+    # for 2k >= n act takes the dual route; the pullback by g^-1 is the other
+    assert moved == pullback(g.inverse(), phi)
     results = [moved, act_vectors(g, xi), pullback(g, phi), musical(mu, xi), musical_inv(mu, phi)]
     assert all((r.n, r.k) == (n, k) for r in results)
     # and so do reduce_form and infinitesimal_act, here by an A with A.den > 1
